@@ -22,7 +22,7 @@ from .impact import (
     split_by_previous_sign,
     weighted_volume,
 )
-from .kernel import Event, EventKind, RunStats, Simulation, next_poisson_wakeup
+from .kernel import RunStats, Simulation, next_poisson_wakeup
 from .oracle import PriceSeries, make_series, observe, true_price_at
 from .runner import build_simulation, replay, run_simulation
 
@@ -30,9 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjustedSample", "BucketStats", "DarpParams", "DarpProcess", "DecayKernel",
-    "DeltaFit", "Event", "EventKind", "L1Snapshot", "LimitOrder", "MarketResult",
-    "OrderBook", "PowerLawFit", "PriceSeries", "RunConfig", "RunStats", "Side",
-    "Simulation", "Trade", "TuneResult", "Window", "adjust", "bucket_means",
+    "DeltaFit", "L1Snapshot", "LimitOrder", "MarketResult", "OrderBook",
+    "PowerLawFit", "PriceSeries", "RunConfig", "RunStats", "Side", "Simulation",
+    "Trade", "TuneResult", "Window", "adjust", "bucket_means",
     "build_simulation", "decay_regression", "fit_delta", "fit_power_law",
     "generate_signs", "load_config", "load_preset", "make_series",
     "next_poisson_wakeup", "observe", "order_sign_acf", "replay", "resample",

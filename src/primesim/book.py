@@ -93,6 +93,11 @@ class OrderBook:
     have to rest through the agent's own opposite quote (the only orders that
     can still be in the way after matching), the remainder is discarded so the
     book is never left crossed.
+
+    Limit order ids must be strictly increasing: an id at or below the last
+    accepted one is rejected. Uniqueness then needs only that one id, so a
+    retired (filled or cancelled) order leaves no state behind and memory is
+    O(1) per order over a session of any length.
     """
 
     def __init__(self) -> None:
@@ -101,7 +106,7 @@ class OrderBook:
         self._bid_prices: list[int] = []  # ascending; best bid is the last entry
         self._ask_prices: list[int] = []  # ascending; best ask is the first entry
         self._by_id: dict[int, LimitOrder] = {}
-        self._seen_ids: set[int] = set()
+        self._last_id = 0  # highest accepted order id; the next must exceed it
         self._next_id = 1
         # conservation counters (units)
         self.submitted_qty = 0
@@ -156,11 +161,11 @@ class OrderBook:
         return out
 
     def new_order_id(self) -> int:
-        """Allocate a session-unique order id."""
-        while self._next_id in self._seen_ids:
-            self._next_id += 1
+        """Allocate a session-unique order id above every id issued or accepted."""
         oid = self._next_id
-        self._next_id += 1
+        if oid <= self._last_id:
+            oid = self._last_id + 1
+        self._next_id = oid + 1
         return oid
 
     # ------------------------------------------------------------- operations
@@ -168,16 +173,18 @@ class OrderBook:
     def submit_limit(self, order: LimitOrder) -> list[Trade]:
         """Match a limit order against the opposite side; rest any remainder.
 
-        Returns the trades in execution order. Rejects duplicate ids and
-        non-positive quantities or off-grid prices.
+        Returns the trades in execution order. Rejects non-positive quantities,
+        off-grid prices, and ids that do not exceed the last accepted id (which
+        covers every duplicate).
         """
         if order.qty <= 0:
             raise ValueError(f"limit order qty must be positive, got {order.qty}")
         if order.price < 1:
             raise ValueError(f"price must be a positive tick, got {order.price}")
-        if order.id in self._seen_ids:
-            raise ValueError(f"duplicate order id {order.id}")
-        self._seen_ids.add(order.id)
+        if order.id <= self._last_id:
+            raise ValueError(f"duplicate or out-of-order order id {order.id}: "
+                             f"ids must exceed the last accepted id {self._last_id}")
+        self._last_id = order.id
         self.submitted_qty += order.qty
 
         trades, remaining = self._match(order.agent, order.side, order.qty, order.price, order.ts)
@@ -234,7 +241,7 @@ class OrderBook:
                     id=self.new_order_id(), agent=SEEDER_AGENT,
                     side=side, price=price, qty=slope * d, ts=ts,
                 )
-                self._seen_ids.add(order.id)
+                self._last_id = order.id
                 self.submitted_qty += order.qty
                 self._rest(order)
 

@@ -9,9 +9,10 @@ random stream derived from the master seed and its id.
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from enum import Enum
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,19 +27,6 @@ _ORACLE_SPACE = 2
 _SESSION_END_SEQ = 2**62
 
 
-class EventKind(Enum):
-    WAKEUP = "wakeup"
-    SESSION_END = "session_end"
-
-
-@dataclass(frozen=True, order=True)
-class Event:
-    time: int
-    seq: int
-    agent: int = field(compare=False)
-    kind: EventKind = field(compare=False)
-
-
 @dataclass(frozen=True)
 class RunStats:
     events_dispatched: int
@@ -46,6 +34,91 @@ class RunStats:
     traded_qty: int
     start: int
     end: int
+
+
+class _ColumnLog(Sequence):
+    """Append-only int64 columns that read back as rows, one per index.
+
+    Subclasses name their columns (the first is ``ts``), build a row from
+    one value of each, and ``extend`` the columns from rows. A log compares
+    equal to any sequence of equal rows.
+    """
+
+    _columns: tuple[str, ...] = ()
+
+    def __init__(self, rows: Iterable = ()) -> None:
+        for name in self._columns:
+            setattr(self, name, array("q"))
+        self.extend(rows)
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._row(*(getattr(self, name)[i] for name in self._columns))
+
+    def __iter__(self):
+        return map(self._row, *(getattr(self, name) for name in self._columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+class TradeTape(_ColumnLog):
+    """The trade tape as columns; rows read back as equal ``Trade`` values.
+
+    ``sign`` is the aggressor's side sign (+1 buy, -1 sell).
+    """
+
+    _columns = ("ts", "price", "qty", "sign", "maker_order", "taker_agent")
+
+    @staticmethod
+    def _row(ts: int, price: int, qty: int, sign: int, maker_order: int,
+             taker_agent: int) -> Trade:
+        return Trade(ts=ts, price=price, qty=qty, aggressor=Side.BID if sign > 0 else Side.ASK,
+                     maker_order=maker_order, taker_agent=taker_agent)
+
+    def extend(self, trades: Iterable[Trade]) -> None:
+        for t in trades:
+            self.ts.append(t.ts)
+            self.price.append(t.price)
+            self.qty.append(t.qty)
+            self.sign.append(t.aggressor.sign)
+            self.maker_order.append(t.maker_order)
+            self.taker_agent.append(t.taker_agent)
+
+
+class QuoteLog(_ColumnLog):
+    """Top-of-book changes as columns ``ts, bid, ask, mid2x``.
+
+    Rows read back as ``(ts, bid, ask)`` with None for an empty side. Prices
+    are ticks >= 1, so 0 marks an empty side in the columns. ``mid2x``
+    carries the last two-sided mid (x2) forward and is 0 before there is one.
+    """
+
+    _columns = ("ts", "bid", "ask", "mid2x")
+
+    @staticmethod
+    def _row(ts: int, bid: int, ask: int, mid2x: int) -> tuple[int, int | None, int | None]:
+        return ts, bid or None, ask or None
+
+    def append(self, ts: int, bid: int | None, ask: int | None) -> None:
+        mids = self.mid2x
+        self.ts.append(ts)
+        self.bid.append(bid or 0)
+        self.ask.append(ask or 0)
+        if bid is not None and ask is not None:
+            mids.append(bid + ask)
+        else:
+            mids.append(mids[-1] if mids else 0)
+
+    def extend(self, rows: Iterable[tuple[int, int | None, int | None]]) -> None:
+        for ts, bid, ask in rows:
+            self.append(ts, bid, ask)
 
 
 def agent_stream(master_seed: int, agent_id: int) -> np.random.Generator:
@@ -83,23 +156,13 @@ class Simulation:
         self._heap: list[tuple[int, int, int]] = []
         self._next_seq = 0
         self._agents: dict[int, object] = {}
-        self.trades: list[Trade] = []
-        self.quotes: list[tuple[int, int | None, int | None]] = []  # (ts, bid, ask) changes
-        self._mid_times: list[int] = []   # times when a two-sided mid was (re)defined
-        self._mid_values: list[int] = []  # mid2x at those times
+        self.trades = TradeTape()
+        self.quotes = QuoteLog()  # one row per change of (best bid, best ask)
         self._last_quote: tuple[int | None, int | None] | None = None
         self.events_dispatched = 0
         self.log_quote()
 
     # ----------------------------------------------------------- scheduling
-
-    def schedule(self, event: Event) -> None:
-        if event.time < self.now:
-            raise ValueError(f"cannot schedule event at {event.time} before now={self.now}")
-        if event.kind is EventKind.WAKEUP and event.agent < 0:
-            raise ValueError("wakeup events need a registered agent id >= 0")
-        marker = event.agent if event.kind is EventKind.WAKEUP else -1
-        heapq.heappush(self._heap, (event.time, event.seq, marker))
 
     def schedule_wakeup(self, agent_id: int, time: int) -> None:
         if time < self.now:
@@ -143,7 +206,7 @@ class Simulation:
         return RunStats(
             events_dispatched=self.events_dispatched,
             n_trades=len(self.trades),
-            traded_qty=sum(t.qty for t in self.trades),
+            traded_qty=self.book.traded_qty,
             start=self._start,
             end=end,
         )
@@ -179,13 +242,13 @@ class Simulation:
         return observe(self.series, self.now, noise_half_width, rng)
 
     def mid2x_at(self, t: int) -> int | None:
-        """Last defined mid (x2) at or before t; None before the first quote."""
-        if t < 0 or not self._mid_times:
+        """Last two-sided mid (x2) at or before t; None before there is one."""
+        if t < 0:
             return None
-        i = bisect_right(self._mid_times, t) - 1
+        i = bisect_right(self.quotes.ts, t) - 1
         if i < 0:
             return None
-        return self._mid_values[i]
+        return self.quotes.mid2x[i] or None
 
     # ------------------------------------------------------------- recording
 
@@ -199,10 +262,4 @@ class Simulation:
         if quote == self._last_quote:
             return
         self._last_quote = quote
-        self.quotes.append((self.now, quote[0], quote[1]))
-        if quote[0] is not None and quote[1] is not None:
-            if self._mid_times and self._mid_times[-1] == self.now:
-                self._mid_values[-1] = quote[0] + quote[1]
-            else:
-                self._mid_times.append(self.now)
-                self._mid_values.append(quote[0] + quote[1])
+        self.quotes.append(self.now, quote[0], quote[1])

@@ -2,7 +2,7 @@
 
 Per-event scalar calls into a Generator cost ~1 microsecond each; agents make
 a few per wakeup. This facade keeps the scalar call interface (random,
-integers, exponential, normal) but refills from vectorized draws in blocks,
+integers, exponential) but refills from vectorized draws in blocks,
 preserving determinism for a fixed underlying stream.
 """
 
@@ -50,6 +50,3 @@ class BatchedRng:
             pos = 0
         self._exp_buffers[scale] = (buf, pos + 1)
         return float(buf[pos])
-
-    def normal(self, loc: float, scale: float) -> float:
-        return float(self._gen.normal(loc, scale))

@@ -15,8 +15,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .book import Trade
+from .book import Side, Trade
 from .errors import DataError
+from .kernel import QuoteLog, TradeTape
 
 TRADE_HEADER = ["ts", "price", "qty", "aggressor", "taker_agent"]
 L1_HEADER = ["ts", "best_bid", "best_ask"]
@@ -103,20 +104,34 @@ def read_l1(path: str | Path) -> list[QuoteRecord]:
     return quotes
 
 
+_AGGRESSOR_FLAG = {side.sign: side.value for side in Side}
+
+
+def _blank_if_zero(price: int) -> int | str:
+    return price or ""
+
+
 def write_trades(path: str | Path, trades: Iterable[Trade]) -> None:
+    """Write a trade CSV row by row from the columns of a ``TradeTape``."""
+    if not isinstance(trades, TradeTape):
+        trades = TradeTape(trades)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRADE_HEADER)
-        for t in trades:
-            writer.writerow([t.ts, t.price, t.qty, t.aggressor.value, t.taker_agent])
+        writer.writerows(zip(trades.ts, trades.price, trades.qty,
+                             map(_AGGRESSOR_FLAG.__getitem__, trades.sign),
+                             trades.taker_agent))
 
 
 def write_l1(path: str | Path, rows: Iterable[tuple[int, int | None, int | None]]) -> None:
+    """Write an L1 CSV row by row from the columns of a ``QuoteLog``."""
+    if not isinstance(rows, QuoteLog):
+        rows = QuoteLog(rows)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(L1_HEADER)
-        for ts, bid, ask in rows:
-            writer.writerow([ts, "" if bid is None else bid, "" if ask is None else ask])
+        writer.writerows(zip(rows.ts, map(_blank_if_zero, rows.bid),
+                             map(_blank_if_zero, rows.ask)))
 
 
 def trade_signs(records: list[TradeRecord]) -> np.ndarray:
@@ -125,8 +140,9 @@ def trade_signs(records: list[TradeRecord]) -> np.ndarray:
 
 def records_from_tape(trades: Iterable[Trade]) -> list[TradeRecord]:
     """Analysis records straight from in-memory simulator trades."""
-    return [TradeRecord(ts=t.ts, price=t.price, qty=t.qty, sign=t.aggressor.sign)
-            for t in trades]
+    if not isinstance(trades, TradeTape):
+        trades = TradeTape(trades)
+    return list(map(TradeRecord, trades.ts, trades.price, trades.qty, trades.sign))
 
 
 def write_summary(path: str | Path, fields: dict[str, object]) -> None:

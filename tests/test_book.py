@@ -80,6 +80,83 @@ class TestSubmitLimit:
         assert not book.crossed
 
 
+class TestOrderIds:
+    def test_repeated_id_rejected(self):
+        book = OrderBook()
+        book.submit_limit(lo(3, 0, Side.BID, 100, 1))
+        with pytest.raises(ValueError, match="duplicate"):
+            book.submit_limit(lo(3, 1, Side.ASK, 105, 1))
+        assert len(book) == 1 and book.submitted_qty == 1
+
+    def test_out_of_order_id_rejected(self):
+        book = OrderBook()
+        book.submit_limit(lo(5, 0, Side.BID, 100, 1))
+        with pytest.raises(ValueError, match="duplicate"):
+            book.submit_limit(lo(4, 0, Side.BID, 99, 1))
+        assert book.order(4) is None and book.best_bid == 100
+
+    def test_id_of_retired_order_stays_rejected(self):
+        book = OrderBook()
+        book.submit_limit(lo(1, 0, Side.BID, 100, 1))
+        book.cancel(1)
+        with pytest.raises(ValueError, match="duplicate"):
+            book.submit_limit(lo(1, 0, Side.BID, 100, 1))
+
+    def test_invalid_order_does_not_consume_its_id(self):
+        book = OrderBook()
+        with pytest.raises(ValueError):
+            book.submit_limit(lo(2, 0, Side.BID, 100, 0))
+        book.submit_limit(lo(2, 0, Side.BID, 100, 1))
+        assert book.order(2) is not None
+
+    def test_issued_ids_count_up_from_one(self):
+        book = OrderBook()
+        assert [book.new_order_id() for _ in range(3)] == [1, 2, 3]
+
+    def test_new_order_id_after_external_ids(self):
+        book = OrderBook()
+        book.submit_limit(lo(10, 0, Side.BID, 100, 1))
+        book.submit_limit(lo(12, 0, Side.BID, 99, 1))
+        oid = book.new_order_id()
+        assert oid == 13
+        book.submit_limit(lo(oid, 0, Side.ASK, 105, 1))
+        assert book.new_order_id() == 14
+
+    def test_seed_linear_follows_id_rule(self):
+        book = OrderBook()
+        book.submit_limit(lo(7, 0, Side.BID, 100, 1))
+        book.cancel(7)
+        book.seed_linear(1000, 2, 1)
+        ids = [o[0] for _, level in book.dump()["bids"] + book.dump()["asks"] for o in level]
+        assert sorted(ids) == [8, 9, 10, 11]
+        with pytest.raises(ValueError, match="duplicate"):
+            book.submit_limit(lo(11, 0, Side.BID, 990, 1))
+        assert book.new_order_id() == 12
+
+
+class TestBoundedState:
+    @pytest.mark.parametrize("retire", ["cancel", "fill"])
+    def test_retired_orders_leave_no_state(self, retire):
+        # every container the book owns must drain once its orders are gone;
+        # a per-order record of any kind would leave 10k entries behind
+        rng = np.random.default_rng(5)
+        book = OrderBook()
+        for _ in range(10_000):
+            side = Side.BID if rng.random() < 0.5 else Side.ASK
+            oid = book.new_order_id()
+            book.submit_limit(lo(oid, 0, side, int(rng.integers(90, 111)), 2))
+            if retire == "cancel":
+                assert book.cancel(oid) is not None
+            else:
+                assert book.submit_market(1, side.opposite, 2).remainder == 0
+        containers = {name: value for name, value in vars(book).items()
+                      if isinstance(value, (list, dict, set))}
+        assert set(containers) >= {"_bid_levels", "_ask_levels", "_bid_prices",
+                                   "_ask_prices", "_by_id"}
+        assert {name: len(value) for name, value in containers.items() if value} == {}
+        assert book.new_order_id() == 10_001
+
+
 class TestSubmitMarket:
     def test_partial_level(self):
         book = OrderBook()

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from primesim.book import OrderBook, Side
-from primesim.kernel import (
-    Event,
-    EventKind,
-    Simulation,
-    agent_stream,
-    next_poisson_wakeup,
-)
+from primesim.kernel import Simulation, agent_stream, next_poisson_wakeup
 
 
 class FixedGapAgent:
@@ -63,7 +57,7 @@ class TestScheduling:
         sim = Simulation(OrderBook())
         sim.now = 4
         with pytest.raises(ValueError, match="before now"):
-            sim.schedule(Event(time=3, seq=0, agent=0, kind=EventKind.WAKEUP))
+            sim.schedule_wakeup(0, 3)
 
     def test_equal_time_dispatch_in_seq_order(self):
         log = []
@@ -80,9 +74,9 @@ class TestScheduling:
         times = rng.integers(0, 10**9, size=100_000)
         heap = []
         for seq, t in enumerate(times):
-            heapq.heappush(heap, Event(time=int(t), seq=seq, agent=0, kind=EventKind.WAKEUP))
+            heapq.heappush(heap, (int(t), seq, 0))  # (time, seq, agent) as the kernel queues
         drained = [heapq.heappop(heap) for _ in range(len(times))]
-        expected = sorted(drained, key=lambda e: (e.time, e.seq))
+        expected = sorted(drained, key=lambda e: (e[0], e[1]))
         assert drained == expected
 
 
@@ -168,3 +162,92 @@ class TestStreams:
         assert sim.mid2x_at(50) == 201
         assert sim.mid2x_at(10**9) == 201
         assert sim.mid2x_at(-1) is None
+
+
+def brute_force_mid2x(rows, t):
+    """Last two-sided bid + ask among L1 rows at or before t, by a full scan."""
+    mid = None
+    for ts, bid, ask in rows:
+        if ts <= t and bid is not None and ask is not None:
+            mid = bid + ask
+    return mid
+
+
+class TestQuoteLog:
+    def random_session(self, seed):
+        # starts empty at t=100 so early rows are one-sided and t < 100 has no
+        # quote; several actions share each timestamp
+        rng = np.random.default_rng(seed)
+        sim = Simulation(OrderBook(), start=100)
+        live = []
+        for step in range(3000):
+            sim.now = 100 + 7 * (step // 4)
+            roll = rng.random()
+            side = Side.BID if rng.random() < 0.5 else Side.ASK
+            if roll < 0.5:
+                price = int(rng.integers(95, 106))
+                live.append(sim.place_limit(int(rng.integers(3)), side, price, 1))
+            elif roll < 0.7:
+                sim.place_market(int(rng.integers(3)), side, int(rng.integers(1, 4)))
+            elif live:
+                sim.cancel(live.pop(int(rng.integers(len(live)))))
+        return sim
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mid2x_at_matches_brute_force(self, seed):
+        sim = self.random_session(seed)
+        rows = list(sim.quotes)
+        times = [ts for ts, _, _ in rows]
+        assert rows[0] == (100, None, None)
+        assert any((bid is None) != (ask is None) for _, bid, ask in rows)  # one-sided
+        assert len(set(times)) < len(times)  # several updates at one ns
+        probes = {-10**9, -1, 0, 99} | {t + d for t in times for d in (-1, 0, 1)}
+        for t in sorted(probes):
+            assert sim.mid2x_at(t) == brute_force_mid2x(rows, t), t
+
+    def test_one_sided_rows_carry_the_last_mid(self):
+        book = OrderBook()
+        sim = Simulation(book)
+        sim.place_limit(0, Side.BID, 99, 1)
+        assert sim.mid2x_at(0) is None  # one-sided from the start
+        sim.place_limit(0, Side.ASK, 101, 1)
+        sim.now = 10
+        sim.place_market(1, Side.BID, 1)
+        assert sim.quotes[-1] == (10, 99, None)
+        assert sim.mid2x_at(10) == 200
+        assert list(sim.quotes.mid2x) == [0, 0, 200, 200]
+
+    def test_rows_and_slices(self):
+        sim = self.random_session(3)
+        rows = list(sim.quotes)
+        assert len(sim.quotes) == len(rows)
+        assert [sim.quotes[i] for i in range(-3, 3)] == rows[-3:] + rows[:3]
+        assert sim.quotes[5:9] == rows[5:9]
+        assert sim.quotes == rows and sim.quotes != rows[:-1]
+        with pytest.raises(IndexError):
+            sim.quotes[len(rows)]
+
+
+class TestTradeTape:
+    def test_rows_equal_the_book_trades(self):
+        book = OrderBook()
+        book.seed_linear(100, 5, 2)
+        sim = Simulation(book)
+        fills = []
+        for step in range(40):
+            sim.now = step
+            fills += sim.place_market(step % 3, Side.BID if step % 2 else Side.ASK, 3).trades
+        assert len(sim.trades) == len(fills) > 0
+        assert list(sim.trades) == fills
+        assert sim.trades[-1] == fills[-1] and sim.trades[:4] == fills[:4]
+        assert {t.maker_order for t in sim.trades} == {t.maker_order for t in fills}
+
+    def test_run_stats_traded_qty_matches_tape(self):
+        book = OrderBook()
+        book.seed_linear(100, 10, 2)
+        sim = Simulation(book)
+        for aid in range(4):
+            sim.register(CoinMarketAgent(aid, agent_stream(2, aid)))
+        stats = sim.run_until(int(0.2e9))
+        assert stats.n_trades == len(sim.trades) > 0
+        assert stats.traded_qty == sum(t.qty for t in sim.trades) == book.traded_qty

@@ -136,6 +136,20 @@ class TestEcologies:
         assert abs(h2_spread / q3_spread - 1) < 0.10
         assert abs(h2_depth / q3_depth - 1) < 0.10
 
+    @pytest.mark.parametrize("preset", ["prime", "santa-fe"])
+    def test_quantity_conserved_and_book_uncrossed(self, preset):
+        from dataclasses import replace
+
+        config = replace(load_preset(preset), session_ns=60 * NS)
+        sim = build_simulation(config)
+        stats = sim.run_until(config.session_ns)
+        book = sim.book
+        assert book.traded_qty > 0 and book.cancelled_qty > 0 and len(book) > 0
+        assert book.submitted_qty == (2 * book.traded_qty + book.cancelled_qty
+                                      + book.discarded_qty + book.resting_qty())
+        assert not book.crossed
+        assert stats.traded_qty == book.traded_qty == sum(sim.trades.qty)
+
     def test_census_built_as_configured(self):
         config = load_preset("prime")
         sim = build_simulation(config)

@@ -4,6 +4,7 @@ import pytest
 
 from primesim.book import Side, Trade
 from primesim.errors import DataError
+from primesim.kernel import QuoteLog, TradeTape
 from primesim.tradeio import (
     QuoteRecord,
     read_l1,
@@ -82,6 +83,14 @@ class TestReadTrades:
         with pytest.raises(DataError):
             read_trades(tmp_path / "absent.csv")
 
+    def test_tape_columns_written_as_rows(self, tmp_path):
+        tape = TradeTape([
+            Trade(ts=5, price=100, qty=2, aggressor=Side.BID, maker_order=1, taker_agent=3),
+            Trade(ts=9, price=99, qty=1, aggressor=Side.ASK, maker_order=2, taker_agent=4)])
+        write_trades(tmp_path / "tape.csv", tape)
+        assert (tmp_path / "tape.csv").read_text().splitlines() == [
+            "ts,price,qty,aggressor,taker_agent", "5,100,2,B,3", "9,99,1,S,4"]
+
 
 class TestL1File:
     def test_round_trip_with_absent_sides(self, tmp_path):
@@ -91,6 +100,13 @@ class TestL1File:
         quotes = read_l1(path)
         assert quotes == [QuoteRecord(0, 99, 101), QuoteRecord(5, None, 101),
                           QuoteRecord(9, 98, None), QuoteRecord(12, 97, 100)]
+
+    def test_quote_log_round_trip(self, tmp_path):
+        rows = [(0, None, None), (0, 99, None), (5, 99, 101), (9, None, 101), (12, 97, 100)]
+        log = QuoteLog(rows)
+        assert list(log.mid2x) == [0, 0, 200, 200, 197]
+        write_l1(tmp_path / "l1.csv", log)
+        assert read_l1(tmp_path / "l1.csv") == rows
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "l1.csv"
