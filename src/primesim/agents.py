@@ -14,16 +14,19 @@ Five wakeup behaviours over (book view, oracle, own rng, own state):
                    mispricing.
 * TechnicalAgent - trend-following or mean-reverting market orders off the
                    mid change over a lookback horizon.
+
+Each agent reads its parameters from its validated config group
+(``primesim.config.ZiLimitGroup``, ``ZiMarketGroup`` or ``TechnicalGroup``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .book import Side
+from .config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
 from .darp import DarpParams, DarpProcess
 from .kernel import next_poisson_wakeup
 
@@ -31,11 +34,11 @@ from .kernel import next_poisson_wakeup
 class Agent:
     """Self-clocking Poisson agent; subclasses implement wakeup(sim)."""
 
-    def __init__(self, agent_id: int, wake_rate: float, rng: np.random.Generator):
-        if wake_rate <= 0:
-            raise ValueError(f"wake rate must be positive, got {wake_rate}")
+    def __init__(self, agent_id: int, group: ZiLimitGroup | ZiMarketGroup | TechnicalGroup,
+                 rng: np.random.Generator):
         self.agent_id = agent_id
-        self.wake_rate = wake_rate
+        self.group = group
+        self.wake_rate = group.wake_rate
         self.rng = rng
 
     def next_wakeup_delay(self) -> int:
@@ -45,35 +48,13 @@ class Agent:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ZiLimitParams:
-    wake_rate: float
-    p_cancel: float = 0.5
-    mode: str = "santa_fe"   # or "prime"
-    band_low: int = 1        # santa_fe valuation band, inclusive
-    band_high: int = 100
-    half_width: int = 50     # prime: valuation offset band +-W around the mid
-    size: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_cancel <= 1.0:
-            raise ValueError("p_cancel must be in [0, 1]")
-        if self.mode not in ("santa_fe", "prime"):
-            raise ValueError(f"unknown zi_limit mode {self.mode!r}")
-        if self.band_low < 1 or self.band_low >= self.band_high:
-            raise ValueError("valuation band must satisfy 1 <= low < high")
-        if self.half_width < 1 or self.size < 1:
-            raise ValueError("half_width and size must be >= 1")
-
-
 class ZiLimitAgent(Agent):
-    def __init__(self, agent_id: int, params: ZiLimitParams, rng: np.random.Generator):
-        super().__init__(agent_id, params.wake_rate, rng)
-        self.params = params
+    def __init__(self, agent_id: int, group: ZiLimitGroup, rng: np.random.Generator):
+        super().__init__(agent_id, group, rng)
         self._live: deque[int] = deque()  # own order ids, oldest first
 
     def wakeup(self, sim) -> None:
-        if self.rng.random() < self.params.p_cancel:
+        if self.rng.random() < self.group.p_cancel:
             self._cancel_oldest(sim)
             return
         mid2x = sim.l1().mid2x
@@ -81,11 +62,11 @@ class ZiLimitAgent(Agent):
             return  # side branch is undecidable on a one-sided book
         v = self._valuation(mid2x)
         side = Side.BID if 2 * v < mid2x else Side.ASK
-        oid = sim.place_limit(self.agent_id, side, v, self.params.size)
+        oid = sim.place_limit(self.agent_id, side, v, self.group.size)
         self._live.append(oid)
 
     def _valuation(self, mid2x: int) -> int:
-        p = self.params
+        p = self.group
         if p.mode == "santa_fe":
             return int(self.rng.integers(p.band_low, p.band_high + 1))
         # prime: centre on the mid rounded half-to-even (rounding half up would
@@ -108,64 +89,34 @@ class ZiLimitAgent(Agent):
                 return
 
 
-@dataclass(frozen=True)
-class ZiMarketParams:
-    wake_rate: float
-    size: int = 1
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("order size must be >= 1")
-
-
 class ZiMarketAgent(Agent):
-    def __init__(self, agent_id: int, params: ZiMarketParams, rng: np.random.Generator):
-        super().__init__(agent_id, params.wake_rate, rng)
-        self.params = params
+    """Market agent on a santa_fe-mode ZiMarketGroup: side by fair coin."""
 
     def wakeup(self, sim) -> None:
         side = Side.BID if self.rng.random() <= 0.5 else Side.ASK
-        sim.place_market(self.agent_id, side, self.params.size)
+        sim.place_market(self.agent_id, side, self.group.size)
 
 
 class DarpMarketAgent(Agent):
-    """Market agent whose order signs carry DAR(p) long memory."""
+    """Market agent on a darp-mode ZiMarketGroup: signs carry DAR(p) long memory."""
 
-    def __init__(self, agent_id: int, darp: DarpParams, wake_rate: float,
-                 size: int, rng: np.random.Generator):
-        super().__init__(agent_id, wake_rate, rng)
-        if size < 1:
-            raise ValueError("order size must be >= 1")
-        self.size = size
+    def __init__(self, agent_id: int, group: ZiMarketGroup, rng: np.random.Generator):
+        super().__init__(agent_id, group, rng)
+        darp = DarpParams(p=group.darp_p, gamma=group.darp_gamma, n=group.darp_n,
+                          literal_branch=group.darp_literal_branch)
         self.process = DarpProcess(darp, rng)
 
     def wakeup(self, sim) -> None:
         side = Side.BID if self.process.step() > 0 else Side.ASK
-        sim.place_market(self.agent_id, side, self.size)
-
-
-@dataclass(frozen=True)
-class PrimeMarketParams:
-    wake_rate: float
-    noise_half_width: int = 5
-    size: int = 1
-
-    def __post_init__(self) -> None:
-        if self.noise_half_width < 0:
-            raise ValueError("observation noise half-width must be >= 0")
-        if self.size < 1:
-            raise ValueError("order size must be >= 1")
+        sim.place_market(self.agent_id, side, self.group.size)
 
 
 class PrimeMarketAgent(Agent):
-    """Fundamental agent: buys when the observed true price exceeds the mid."""
-
-    def __init__(self, agent_id: int, params: PrimeMarketParams, rng: np.random.Generator):
-        super().__init__(agent_id, params.wake_rate, rng)
-        self.params = params
+    """Fundamental agent on a prime-mode ZiMarketGroup: buys when the observed
+    true price exceeds the mid."""
 
     def wakeup(self, sim) -> None:
-        observed = sim.observe(self.params.noise_half_width, self.rng)
+        observed = sim.observe(self.group.noise, self.rng)
         mid2x = sim.l1().mid2x
         if mid2x is None:
             buy = self.rng.random() <= 0.5
@@ -175,43 +126,31 @@ class PrimeMarketAgent(Agent):
             buy = False
         else:
             buy = self.rng.random() <= 0.5
-        sim.place_market(self.agent_id, Side.BID if buy else Side.ASK, self.params.size)
-
-
-@dataclass(frozen=True)
-class TechnicalParams:
-    kind: str                # "trend" or "mean_revert"
-    lookback_ns: int
-    threshold: int = 0       # dead zone in ticks
-    wake_rate: float = 0.5
-    size: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("trend", "mean_revert"):
-            raise ValueError(f"unknown technical kind {self.kind!r}")
-        if self.lookback_ns <= 0:
-            raise ValueError("lookback must be positive")
-        if self.threshold < 0 or self.size < 1:
-            raise ValueError("threshold must be >= 0 and size >= 1")
+        sim.place_market(self.agent_id, Side.BID if buy else Side.ASK, self.group.size)
 
 
 class TechnicalAgent(Agent):
-    def __init__(self, agent_id: int, params: TechnicalParams, rng: np.random.Generator):
-        super().__init__(agent_id, params.wake_rate, rng)
-        self.params = params
+    """Market agent of a trend or mean_revert TechnicalGroup."""
+
+    def __init__(self, agent_id: int, group: TechnicalGroup, rng: np.random.Generator,
+                 kind: str):
+        if kind not in ("trend", "mean_revert"):
+            raise ValueError(f"unknown technical kind {kind!r}")
+        super().__init__(agent_id, group, rng)
+        self.kind = kind
 
     def wakeup(self, sim) -> None:
         now_mid = sim.mid2x_at(sim.now)
-        past_mid = sim.mid2x_at(sim.now - self.params.lookback_ns)
+        past_mid = sim.mid2x_at(sim.now - self.group.lookback_ns)
         if now_mid is None or past_mid is None:
             return  # not enough mid history to span the lookback
         delta2x = now_mid - past_mid
-        threshold2x = 2 * self.params.threshold
+        threshold2x = 2 * self.group.threshold
         if delta2x > threshold2x:
             momentum_side = Side.BID
         elif delta2x < -threshold2x:
             momentum_side = Side.ASK
         else:
             return
-        side = momentum_side if self.params.kind == "trend" else momentum_side.opposite
-        sim.place_market(self.agent_id, side, self.params.size)
+        side = momentum_side if self.kind == "trend" else momentum_side.opposite
+        sim.place_market(self.agent_id, side, self.group.size)

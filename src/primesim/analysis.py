@@ -59,26 +59,15 @@ def impact_report(
     if delta is None:
         fit = impact.fit_delta(samples)
     else:
-        fit = _fixed_delta_fit(samples, delta)
+        k, sse = impact.fit_scale(np.asarray([s.q for s in samples]),
+                                  np.asarray([s.y for s in samples]), delta)
+        fit = DeltaFit(delta=delta, k=k, sse=sse, n=len(samples))
     buckets = impact.bucket_means(samples, n_buckets=n_buckets, delta=fit.delta)
     prev_buy, prev_sell = impact.split_by_previous_sign(samples, n_buckets=n_buckets,
                                                         delta=fit.delta)
     return ImpactReport(windows=windows, samples=samples, skipped=skipped, delta_fit=fit,
                         buckets=buckets, buckets_prev_buy=prev_buy,
                         buckets_prev_sell=prev_sell)
-
-
-def _fixed_delta_fit(samples: list[AdjustedSample], delta: float) -> DeltaFit:
-    """Closed-form scale and SSE at a caller-pinned exponent."""
-    q = np.asarray([s.q for s in samples])
-    y = np.asarray([s.y for s in samples])
-    x = impact.signed_power(q, delta)
-    sxx = float(np.dot(x, x))
-    if sxx == 0.0:
-        raise ValueError("all net volumes are zero; impact scale is unidentifiable")
-    k = float(np.dot(x, y)) / sxx
-    r = y - k * x
-    return DeltaFit(delta=delta, k=k, sse=float(np.dot(r, r)), n=len(samples))
 
 
 # ------------------------------------------------------------------- writers

@@ -1,16 +1,23 @@
 """Run configuration: YAML schema, validation, presets, duration parsing.
 
-A run is fully described by (config, seed). Unknown keys anywhere in the file
-are rejected so typos cannot silently fall back to defaults. Durations accept
-either integer nanoseconds or strings with an ns/us/ms/s/m/h suffix.
+A run is fully described by (config, seed). Each section (book seeding, an
+oracle kind, an agent group, the run) is one frozen dataclass: the annotation
+gives each field's type and its metadata the constraints, and together they
+drive parsing, serialization and validation. ``__post_init__`` validates, so
+a section built in code is checked like one read from YAML. Unknown keys are
+rejected so typos cannot silently fall back to defaults. Durations take
+integer ns or a number with an ns/us/ms/s/m/h suffix; the field behind
+duration key ``<key>`` is ``<key>_ns``.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 import yaml
 
@@ -24,17 +31,13 @@ _UNIT_NS = {"ns": 1, "us": 10**3, "ms": 10**6, "s": 10**9, "m": 60 * 10**9, "h":
 
 def parse_duration(value) -> int:
     """Duration to integer nanoseconds; accepts int ns or '<number><unit>'."""
-    if isinstance(value, bool):
-        raise ConfigError(f"not a duration: {value!r}")
-    if isinstance(value, int):
-        ns = value
-    elif isinstance(value, str):
-        m = _DURATION_RE.match(value)
-        if not m:
-            raise ConfigError(f"cannot parse duration {value!r} (use e.g. 500ms, 5s, 2h)")
+    m = _DURATION_RE.match(value) if isinstance(value, str) else None
+    if m:
         ns = round(float(m.group(1)) * _UNIT_NS[m.group(2)])
+    elif isinstance(value, int) and not isinstance(value, bool):
+        ns = value
     else:
-        raise ConfigError(f"not a duration: {value!r}")
+        raise ConfigError(f"cannot parse duration {value!r} (use e.g. 500ms, 5s, 2h)")
     if ns <= 0:
         raise ConfigError(f"duration must be positive, got {value!r}")
     return ns
@@ -48,283 +51,239 @@ def format_duration(ns: int) -> str:
     return f"{ns}ns"
 
 
-@dataclass(frozen=True)
-class BookSeedConfig:
-    start_price: int
-    half_width: int
-    slope: int
+# ---------------------------------------------------------------- schema
+
+# annotation -> (type, what a value of it must be); floats must also be finite
+_TYPES = {"int": (int, "an integer"), "float": (float, "a finite number"),
+          "bool": (bool, "true or false"), "str": (str, "a string"),
+          "str | None": (str, "a string")}
+
+
+def _field(default=MISSING, *, minimum=None, maximum=None, above=None,
+           choices: tuple | None = None, duration: bool = False):
+    """Constraints of a schema field: inclusive bounds, an exclusive floor, choices."""
+    return field(default=default, metadata=dict(minimum=minimum, maximum=maximum,
+                                                above=above, choices=choices,
+                                                duration=duration))
+
+
+def _key(f) -> str:
+    """YAML key of a field: duration fields hold ns and drop their _ns suffix."""
+    return f.name.removesuffix("_ns") if f.metadata.get("duration") else f.name
+
+
+def _accepts(kind: type, m, value) -> bool:
+    if isinstance(value, bool) is not (kind is bool):
+        return False  # True is an int to Python, not to the schema
+    if not isinstance(value, (int, float) if kind is float else kind):
+        return False
+    if kind is float and not math.isfinite(value):
+        return False
+    return ((m["minimum"] is None or value >= m["minimum"])
+            and (m["maximum"] is None or value <= m["maximum"])
+            and (m["above"] is None or value > m["above"])
+            and (m["choices"] is None or value in m["choices"]))
+
+
+def _demand(text: str, m) -> str:
+    """What a field's value must be, as error messages and the README say it."""
+    if m["duration"]:
+        return "a positive duration"
+    if m["choices"]:
+        return f"one of {m['choices']}"
+    if m["above"] is not None:
+        return f"{text} > {m['above']}"
+    if m["maximum"] is not None:
+        return f"{text} in [{m['minimum']}, {m['maximum']}]"
+    return text if m["minimum"] is None else f"{text} >= {m['minimum']}"
+
+
+class _Section:
+    """Checks every schema field against its type and constraints, then the
+    cross-field rules; float fields given an int hold it as a float."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not f.metadata or (value is None and f.default is None):
+                continue  # a nested section, or an optional field left unset
+            kind, text = _TYPES[f.type]
+            if not _accepts(kind, f.metadata, value):
+                raise ConfigError(f"{_key(f)} must be {_demand(text, f.metadata)}, "
+                                  f"got {value!r}")
+            object.__setattr__(self, f.name, kind(value))
+        self._check()
+
+    def _check(self) -> None:
+        """Cross-field rules; raise ConfigError."""
 
 
 @dataclass(frozen=True)
-class OracleConfig:
-    kind: str                      # constant | random_walk | from_file
-    price: int | None = None       # constant
-    start: int | None = None       # random_walk
-    sigma: float | None = None
-    step_ns: int | None = None
-    path: str | None = None        # from_file
+class BookSeedConfig(_Section):
+    start_price: int = _field(minimum=2)
+    half_width: int = _field(minimum=1)
+    slope: int = _field(minimum=1)
+
+    def _check(self) -> None:
+        if self.start_price - self.half_width < 1:
+            raise ConfigError("book seeding would place bids below tick 1")
+
+
+# Oracle kinds: ``kind`` names one in YAML; oracle.make_series builds its series.
+@dataclass(frozen=True)
+class ConstantOracle(_Section):
+    kind: ClassVar[str] = "constant"
+    price: int = _field(minimum=1)
 
 
 @dataclass(frozen=True)
-class ZiLimitGroup:
-    count: int
-    wake_rate: float
-    p_cancel: float = 0.5
-    mode: str = "santa_fe"
-    band_low: int = 1
-    band_high: int = 100
-    half_width: int = 50
-    size: int = 1
+class RandomWalkOracle(_Section):
+    kind: ClassVar[str] = "random_walk"
+    start: int = _field(minimum=1)
+    sigma: float = _field(minimum=0)
+    step_ns: int = _field(minimum=1, duration=True)
 
 
 @dataclass(frozen=True)
-class ZiMarketGroup:
-    count: int
-    wake_rate: float
-    mode: str = "santa_fe"         # santa_fe | darp | prime
-    size: int = 1
-    noise: int = 5                 # prime observation noise half-width
-    darp_p: float = 0.9
-    darp_gamma: float = 1.5
-    darp_n: int = 50
-    darp_literal_branch: bool = False
+class FileOracle(_Section):
+    kind: ClassVar[str] = "from_file"
+    path: str = _field()
+
+
+ORACLE_KINDS = {cls.kind: cls for cls in (ConstantOracle, RandomWalkOracle, FileOracle)}
 
 
 @dataclass(frozen=True)
-class TechnicalGroup:
-    count: int
-    wake_rate: float = 0.5
-    lookback_ns: int = 60 * 10**9
-    threshold: int = 0
-    size: int = 1
+class ZiLimitGroup(_Section):
+    count: int = _field(minimum=0)
+    wake_rate: float = _field(above=0)
+    p_cancel: float = _field(0.5, minimum=0, maximum=1)
+    mode: str = _field("santa_fe", choices=("santa_fe", "prime"))
+    band_low: int = _field(1, minimum=1)      # santa_fe valuation band, inclusive
+    band_high: int = _field(100, minimum=2)   # and above band_low
+    half_width: int = _field(50, minimum=1)   # prime: valuation offsets +-W off the mid
+    size: int = _field(1, minimum=1)
+
+    def _check(self) -> None:
+        if self.band_low >= self.band_high:
+            raise ConfigError(f"band_low must be below band_high, got "
+                              f"{self.band_low} >= {self.band_high}")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    session_ns: int
-    book: BookSeedConfig | None
-    oracle: OracleConfig | None
-    zi_limit: ZiLimitGroup | None
-    zi_market: ZiMarketGroup | None
-    trend: TechnicalGroup | None
-    mean_revert: TechnicalGroup | None
-    output: str | None = None
+class ZiMarketGroup(_Section):
+    count: int = _field(minimum=0)
+    wake_rate: float = _field(above=0)
+    mode: str = _field("santa_fe", choices=("santa_fe", "darp", "prime"))
+    size: int = _field(1, minimum=1)
+    noise: int = _field(5, minimum=0)         # prime: observation noise half-width
+    darp_p: float = _field(0.9, minimum=0, maximum=1)
+    darp_gamma: float = _field(1.5)
+    darp_n: int = _field(50, minimum=1)
+    darp_literal_branch: bool = _field(False)
+
+
+@dataclass(frozen=True)
+class TechnicalGroup(_Section):
+    count: int = _field(minimum=0)
+    wake_rate: float = _field(0.5, above=0)
+    lookback_ns: int = _field(60 * 10**9, minimum=1, duration=True)
+    threshold: int = _field(0, minimum=0)     # dead zone in ticks
+    size: int = _field(1, minimum=1)
+
+
+# agent groups in agent-id order
+GROUPS = {"zi_limit": ZiLimitGroup, "zi_market": ZiMarketGroup,
+          "trend": TechnicalGroup, "mean_revert": TechnicalGroup}
+
+
+@dataclass(frozen=True)
+class RunConfig(_Section):
+    seed: int = _field(minimum=0)
+    session_ns: int = _field(minimum=1, duration=True)
+    book: BookSeedConfig | None = None
+    oracle: ConstantOracle | RandomWalkOracle | FileOracle | None = None
+    zi_limit: ZiLimitGroup | None = None
+    zi_market: ZiMarketGroup | None = None
+    trend: TechnicalGroup | None = None
+    mean_revert: TechnicalGroup | None = None
+    output: str | None = _field(None)
 
     def census(self) -> dict[str, int]:
         """Agent head-count per kind (zero for absent groups)."""
-        return {
-            "zi_limit": self.zi_limit.count if self.zi_limit else 0,
-            "zi_market": self.zi_market.count if self.zi_market else 0,
-            "trend": self.trend.count if self.trend else 0,
-            "mean_revert": self.mean_revert.count if self.mean_revert else 0,
-        }
+        return {name: getattr(self, name).count if getattr(self, name) else 0
+                for name in GROUPS}
+
+    def _check(self) -> None:
+        market = self.zi_market
+        if market and market.mode == "prime" and market.count > 0 and self.oracle is None:
+            raise ConfigError("prime-mode market agents require an oracle section")
+        if sum(self.census().values()) == 0:
+            raise ConfigError("no agents configured")
 
 
-def _require_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+# ---------------------------------------------------------------- parse / serialize
+
+
+def _reject_unknown(mapping, allowed, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping, got {mapping!r}")
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _get(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return mapping[key]
+def _parse(cls, mapping, where: str, **sections):
+    """Build section cls from a YAML mapping through its fields."""
+    specs = {_key(f): f for f in fields(cls) if f.metadata}
+    _reject_unknown(mapping, specs, where)
+    try:
+        for key, f in specs.items():
+            if key in mapping:
+                value = mapping[key]
+                sections[f.name] = parse_duration(value) if f.metadata["duration"] else value
+            elif f.default is MISSING:
+                raise ConfigError(f"missing required key {key!r}")
+        return cls(**sections)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def parse_config(data: dict) -> RunConfig:
+def parse_config(data) -> RunConfig:
     """Validate a parsed YAML mapping into a RunConfig."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    _require_keys(data, {"seed", "session", "book", "oracle", "agents", "output"}, "config")
-    seed = _get(data, "seed", "config")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    session_ns = parse_duration(_get(data, "session", "config"))
-
-    book = None
-    if data.get("book") is not None:
-        b = data["book"]
-        _require_keys(b, {"start_price", "half_width", "slope"}, "book")
-        book = BookSeedConfig(
-            start_price=_int_field(b, "start_price", "book", minimum=2),
-            half_width=_int_field(b, "half_width", "book", minimum=1),
-            slope=_int_field(b, "slope", "book", minimum=1),
-        )
-        if book.start_price - book.half_width < 1:
-            raise ConfigError("book seeding would place bids below tick 1")
-
-    oracle = None
-    if data.get("oracle") is not None:
-        o = data["oracle"]
-        _require_keys(o, {"kind", "price", "start", "sigma", "step", "path"}, "oracle")
-        kind = _get(o, "kind", "oracle")
-        if kind == "constant":
-            oracle = OracleConfig(kind=kind, price=_int_field(o, "price", "oracle", minimum=1))
-        elif kind == "random_walk":
-            sigma = _get(o, "sigma", "oracle")
-            if not isinstance(sigma, (int, float)) or sigma < 0:
-                raise ConfigError(f"oracle sigma must be >= 0, got {sigma!r}")
-            oracle = OracleConfig(
-                kind=kind,
-                start=_int_field(o, "start", "oracle", minimum=1),
-                sigma=float(sigma),
-                step_ns=parse_duration(_get(o, "step", "oracle")),
-            )
-        elif kind == "from_file":
-            oracle = OracleConfig(kind=kind, path=str(_get(o, "path", "oracle")))
-        else:
-            raise ConfigError(f"unknown oracle kind {kind!r}")
-
     agents = data.get("agents") or {}
-    _require_keys(agents, {"zi_limit", "zi_market", "trend", "mean_revert"}, "agents")
-
-    zi_limit = None
-    if agents.get("zi_limit") is not None:
-        g = agents["zi_limit"]
-        _require_keys(g, {"count", "wake_rate", "p_cancel", "mode", "band_low",
-                          "band_high", "half_width", "size"}, "agents.zi_limit")
-        zi_limit = ZiLimitGroup(
-            count=_int_field(g, "count", "agents.zi_limit", minimum=0),
-            wake_rate=_rate_field(g, "agents.zi_limit"),
-            p_cancel=_prob_field(g, "p_cancel", "agents.zi_limit", default=0.5),
-            mode=_mode_field(g, ("santa_fe", "prime"), "agents.zi_limit"),
-            band_low=_int_field(g, "band_low", "agents.zi_limit", minimum=1, default=1),
-            band_high=_int_field(g, "band_high", "agents.zi_limit", minimum=2, default=100),
-            half_width=_int_field(g, "half_width", "agents.zi_limit", minimum=1, default=50),
-            size=_int_field(g, "size", "agents.zi_limit", minimum=1, default=1),
-        )
-
-    zi_market = None
-    if agents.get("zi_market") is not None:
-        g = agents["zi_market"]
-        _require_keys(g, {"count", "wake_rate", "mode", "size", "noise",
-                          "darp_p", "darp_gamma", "darp_n", "darp_literal_branch"},
-                      "agents.zi_market")
-        mode = _mode_field(g, ("santa_fe", "darp", "prime"), "agents.zi_market")
-        zi_market = ZiMarketGroup(
-            count=_int_field(g, "count", "agents.zi_market", minimum=0),
-            wake_rate=_rate_field(g, "agents.zi_market"),
-            mode=mode,
-            size=_int_field(g, "size", "agents.zi_market", minimum=1, default=1),
-            noise=_int_field(g, "noise", "agents.zi_market", minimum=0, default=5),
-            darp_p=_prob_field(g, "darp_p", "agents.zi_market", default=0.9),
-            darp_gamma=float(g.get("darp_gamma", 1.5)),
-            darp_n=_int_field(g, "darp_n", "agents.zi_market", minimum=1, default=50),
-            darp_literal_branch=bool(g.get("darp_literal_branch", False)),
-        )
-
-    trend = _parse_technical(agents.get("trend"), "agents.trend")
-    mean_revert = _parse_technical(agents.get("mean_revert"), "agents.mean_revert")
-
-    output = data.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError("output must be a path string")
-
-    config = RunConfig(seed=seed, session_ns=session_ns, book=book, oracle=oracle,
-                       zi_limit=zi_limit, zi_market=zi_market, trend=trend,
-                       mean_revert=mean_revert, output=output)
-    _cross_validate(config)
-    return config
+    _reject_unknown(agents, GROUPS, "agents")
+    sections = {name: _parse(cls, agents[name], f"agents.{name}")
+                for name, cls in GROUPS.items() if agents.get(name) is not None}
+    if data.get("book") is not None:
+        sections["book"] = _parse(BookSeedConfig, data["book"], "book")
+    oracle = data.get("oracle")
+    if oracle is not None:
+        kind = oracle.get("kind") if isinstance(oracle, dict) else None
+        if kind not in ORACLE_KINDS:
+            raise ConfigError(f"unknown oracle kind {kind!r}; choose from {tuple(ORACLE_KINDS)}")
+        params = {k: v for k, v in oracle.items() if k != "kind"}
+        sections["oracle"] = _parse(ORACLE_KINDS[kind], params, "oracle")
+    top = {k: v for k, v in data.items() if k not in ("book", "oracle", "agents")}
+    return _parse(RunConfig, top, "config", **sections)
 
 
-def _parse_technical(g, where: str) -> TechnicalGroup | None:
-    if g is None:
-        return None
-    _require_keys(g, {"count", "wake_rate", "lookback", "threshold", "size"}, where)
-    return TechnicalGroup(
-        count=_int_field(g, "count", where, minimum=0),
-        wake_rate=_rate_field(g, where),
-        lookback_ns=parse_duration(g.get("lookback", "60s")),
-        threshold=_int_field(g, "threshold", where, minimum=0, default=0),
-        size=_int_field(g, "size", where, minimum=1, default=1),
-    )
-
-
-def _cross_validate(config: RunConfig) -> None:
-    needs_oracle = config.zi_market is not None and config.zi_market.mode == "prime" \
-        and config.zi_market.count > 0
-    if needs_oracle and config.oracle is None:
-        raise ConfigError("prime-mode market agents require an oracle section")
-    if config.session_ns < 1:
-        raise ConfigError("session must be positive")
-    total = sum(config.census().values())
-    if total == 0:
-        raise ConfigError("no agents configured")
-
-
-def _int_field(mapping: dict, key: str, where: str, minimum: int, default=None):
-    value = mapping.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{where}.{key} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _rate_field(mapping: dict, where: str) -> float:
-    value = _get(mapping, "wake_rate", where)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{where}.wake_rate must be a positive number, got {value!r}")
-    return float(value)
-
-
-def _prob_field(mapping: dict, key: str, where: str, default: float) -> float:
-    value = mapping.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value <= 1:
-        raise ConfigError(f"{where}.{key} must be in [0, 1], got {value!r}")
-    return float(value)
-
-
-def _mode_field(mapping: dict, allowed: tuple[str, ...], where: str) -> str:
-    mode = mapping.get("mode", allowed[0])
-    if mode not in allowed:
-        raise ConfigError(f"{where}.mode must be one of {allowed}, got {mode!r}")
-    return mode
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def to_dict(config: RunConfig) -> dict:
-    """Round-trippable mapping; parse_config(to_dict(c)) is semantically c."""
-    data: dict = {"seed": config.seed, "session": format_duration(config.session_ns)}
-    if config.book:
-        data["book"] = {"start_price": config.book.start_price,
-                        "half_width": config.book.half_width,
-                        "slope": config.book.slope}
-    if config.oracle:
-        o = config.oracle
-        if o.kind == "constant":
-            data["oracle"] = {"kind": o.kind, "price": o.price}
-        elif o.kind == "random_walk":
-            data["oracle"] = {"kind": o.kind, "start": o.start, "sigma": o.sigma,
-                              "step": format_duration(o.step_ns)}
-        else:
-            data["oracle"] = {"kind": o.kind, "path": o.path}
-    agents: dict = {}
-    if config.zi_limit:
-        g = config.zi_limit
-        agents["zi_limit"] = {"count": g.count, "wake_rate": g.wake_rate,
-                              "p_cancel": g.p_cancel, "mode": g.mode,
-                              "band_low": g.band_low, "band_high": g.band_high,
-                              "half_width": g.half_width, "size": g.size}
-    if config.zi_market:
-        g = config.zi_market
-        agents["zi_market"] = {"count": g.count, "wake_rate": g.wake_rate, "mode": g.mode,
-                               "size": g.size, "noise": g.noise, "darp_p": g.darp_p,
-                               "darp_gamma": g.darp_gamma, "darp_n": g.darp_n,
-                               "darp_literal_branch": g.darp_literal_branch}
-    for name, g in (("trend", config.trend), ("mean_revert", config.mean_revert)):
-        if g:
-            agents[name] = {"count": g.count, "wake_rate": g.wake_rate,
-                            "lookback": format_duration(g.lookback_ns),
-                            "threshold": g.threshold, "size": g.size}
-    if agents:
-        data["agents"] = agents
-    if config.output:
-        data["output"] = config.output
+def to_dict(section) -> dict:
+    """Round-trippable mapping of a section; parse_config(to_dict(c)) == c."""
+    data = {"kind": section.kind} if hasattr(section, "kind") else {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, _Section):
+            value = to_dict(value)
+            if f.name in GROUPS:
+                data.setdefault("agents", {})[f.name] = value
+                continue
+        elif value is not None and f.metadata["duration"]:
+            value = format_duration(value)
+        if value is not None:
+            data[_key(f)] = value
     return data
 
 

@@ -233,6 +233,17 @@ def adjust(
 # ------------------------------------------------------------------- fitting
 
 
+def fit_scale(q: np.ndarray, y: np.ndarray, delta: float) -> tuple[float, float]:
+    """Least-squares k of y ~ k * sgn(q)|q|**delta through the origin, and its SSE."""
+    x = signed_power(q, delta)
+    sxx = float(np.dot(x, x))
+    if sxx == 0.0:
+        raise ValueError("all net volumes are zero; impact scale is unidentifiable")
+    k = float(np.dot(x, y)) / sxx
+    r = y - k * x
+    return k, float(np.dot(r, r))
+
+
 def fit_delta(
     samples: list[AdjustedSample],
     delta_range: tuple[float, float] = DELTA_RANGE,
@@ -240,9 +251,9 @@ def fit_delta(
 ) -> DeltaFit:
     """Golden-section search for the impact exponent.
 
-    For each candidate delta the scale k is the closed-form least-squares
-    solution of y ~ k * sgn(q)|q|**delta through the origin; the outer search
-    minimizes the SSE over delta (assumed unimodal on the search interval).
+    For each candidate delta the scale k is fit_scale's closed-form
+    least-squares solution; the outer search minimizes the SSE over delta
+    (assumed unimodal on the search interval).
     """
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples to fit delta, got {len(samples)}")
@@ -251,30 +262,23 @@ def fit_delta(
     if np.all(q == 0):
         raise ValueError("all net volumes are zero; delta is unidentifiable")
 
-    def sse_at(delta: float) -> tuple[float, float]:
-        x = signed_power(q, delta)
-        sxx = float(np.dot(x, x))
-        k = float(np.dot(x, y)) / sxx
-        r = y - k * x
-        return float(np.dot(r, r)), k
-
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = delta_range
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, _ = sse_at(c)
-    fd, _ = sse_at(d)
+    _, fc = fit_scale(q, y, c)
+    _, fd = fit_scale(q, y, d)
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc, _ = sse_at(c)
+            _, fc = fit_scale(q, y, c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd, _ = sse_at(d)
+            _, fd = fit_scale(q, y, d)
     delta = (a + b) / 2.0
-    sse, k = sse_at(delta)
+    k, sse = fit_scale(q, y, delta)
     return DeltaFit(delta=delta, k=k, sse=sse, n=len(samples))
 
 

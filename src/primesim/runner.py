@@ -9,27 +9,17 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from . import tradeio
-from .agents import (
-    DarpMarketAgent,
-    PrimeMarketAgent,
-    PrimeMarketParams,
-    TechnicalAgent,
-    TechnicalParams,
-    ZiLimitAgent,
-    ZiLimitParams,
-    ZiMarketAgent,
-    ZiMarketParams,
-)
+from .agents import DarpMarketAgent, PrimeMarketAgent, TechnicalAgent, ZiLimitAgent, ZiMarketAgent
 from .book import OrderBook
-from .config import RunConfig, dump_config, load_config
-from .darp import DarpParams
+from .config import GROUPS, RunConfig, dump_config, load_config
 from .errors import ConfigError, DataError
 from .kernel import RunStats, Simulation, agent_stream, oracle_stream
-from .oracle import constant_series, random_walk_series, series_from_file
+from .oracle import make_series
 from .rng import BatchedRng
 
 TRADES_FILE = "trades.csv"
@@ -44,67 +34,41 @@ class RunResult:
     stats: RunStats
 
 
+# (group, mode) -> agent class; technical groups have no mode
+AGENT_CLASSES = {
+    ("zi_limit", "santa_fe"): ZiLimitAgent,
+    ("zi_limit", "prime"): ZiLimitAgent,
+    ("zi_market", "santa_fe"): ZiMarketAgent,
+    ("zi_market", "darp"): DarpMarketAgent,
+    ("zi_market", "prime"): PrimeMarketAgent,
+    ("trend", None): partial(TechnicalAgent, kind="trend"),
+    ("mean_revert", None): partial(TechnicalAgent, kind="mean_revert"),
+}
+
+
 def build_simulation(config: RunConfig) -> Simulation:
-    """Seeded book, oracle series, and the configured agent census."""
+    """Seeded book, oracle series, and the configured agent census.
+
+    Agent ids count up from 0 through the groups in GROUPS order, and each
+    agent draws from its own stream agent_stream(seed, id).
+    """
     book = OrderBook()
     if config.book is not None:
         book.seed_linear(config.book.start_price, config.book.half_width, config.book.slope)
-
     series = None
     if config.oracle is not None:
-        o = config.oracle
-        if o.kind == "constant":
-            series = constant_series(o.price)
-        elif o.kind == "random_walk":
-            series = random_walk_series(o.start, o.sigma, o.step_ns,
-                                        config.session_ns, oracle_stream(config.seed))
-        else:
-            series = series_from_file(o.path)
-
+        series = make_series(config.oracle.kind, **asdict(config.oracle),
+                             horizon_ns=config.session_ns, rng=oracle_stream(config.seed))
     sim = Simulation(book, series=series)
-    next_id = 0
-
-    def take_id() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    if config.zi_limit is not None:
-        g = config.zi_limit
-        params = ZiLimitParams(wake_rate=g.wake_rate, p_cancel=g.p_cancel, mode=g.mode,
-                               band_low=g.band_low, band_high=g.band_high,
-                               half_width=g.half_width, size=g.size)
-        for _ in range(g.count):
-            aid = take_id()
-            sim.register(ZiLimitAgent(aid, params, BatchedRng(agent_stream(config.seed, aid))))
-
-    if config.zi_market is not None:
-        g = config.zi_market
-        for _ in range(g.count):
-            aid = take_id()
-            rng = BatchedRng(agent_stream(config.seed, aid))
-            if g.mode == "santa_fe":
-                agent = ZiMarketAgent(aid, ZiMarketParams(wake_rate=g.wake_rate, size=g.size), rng)
-            elif g.mode == "darp":
-                darp = DarpParams(p=g.darp_p, gamma=g.darp_gamma, n=g.darp_n,
-                                  literal_branch=g.darp_literal_branch)
-                agent = DarpMarketAgent(aid, darp, g.wake_rate, g.size, rng)
-            else:
-                agent = PrimeMarketAgent(
-                    aid, PrimeMarketParams(wake_rate=g.wake_rate,
-                                           noise_half_width=g.noise, size=g.size), rng)
-            sim.register(agent)
-
-    for kind, group in (("trend", config.trend), ("mean_revert", config.mean_revert)):
+    aid = 0
+    for name in GROUPS:
+        group = getattr(config, name)
         if group is None:
             continue
-        params = TechnicalParams(kind=kind, lookback_ns=group.lookback_ns,
-                                 threshold=group.threshold, wake_rate=group.wake_rate,
-                                 size=group.size)
+        make = AGENT_CLASSES[name, getattr(group, "mode", None)]
         for _ in range(group.count):
-            aid = take_id()
-            sim.register(TechnicalAgent(aid, params, BatchedRng(agent_stream(config.seed, aid))))
-
+            sim.register(make(aid, group, BatchedRng(agent_stream(config.seed, aid))))
+            aid += 1
     return sim
 
 

@@ -11,10 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from primesim.agents import ZiMarketAgent, ZiMarketParams, DarpMarketAgent
+from primesim.agents import ZiMarketAgent, DarpMarketAgent
 from primesim.book import LimitOrder, OrderBook, Side
 from primesim.calibrate import tune_darp
-from primesim.config import load_preset, loads_config
+from primesim.config import ConstantOracle, ZiMarketGroup, load_preset, loads_config
 from primesim.darp import DarpParams, generate_signs
 from primesim.impact import (
     AdjustedSample,
@@ -210,7 +210,7 @@ class _SignRecorder:
 class TestCriterion06OrderSignStructure:
     def test_zi_null_and_darp_persistence(self):
         sink = _SignRecorder()
-        agent = ZiMarketAgent(0, ZiMarketParams(wake_rate=1.0), np.random.default_rng(6))
+        agent = ZiMarketAgent(0, ZiMarketGroup(count=1, wake_rate=1.0), np.random.default_rng(6))
         n = 100_000
         for _ in range(n):
             agent.wakeup(sink)
@@ -218,8 +218,9 @@ class TestCriterion06OrderSignStructure:
         inside = float(np.mean(np.abs(acf_null) < 3.0 / np.sqrt(n)))
 
         sink = _SignRecorder()
-        darp = DarpMarketAgent(1, DarpParams(p=0.9, gamma=1.5, n=50), 1.0, 1,
-                               np.random.default_rng(7))
+        group = ZiMarketGroup(count=1, wake_rate=1.0, mode="darp", darp_p=0.9,
+                              darp_gamma=1.5, darp_n=50)
+        darp = DarpMarketAgent(1, group, np.random.default_rng(7))
         m = 1_000_000
         for _ in range(m):
             darp.wakeup(sink)
@@ -266,15 +267,13 @@ def _prime_config(**overrides):
 
 class TestCriterion08PrimeMeanReversion:
     def test_displaced_book_reverts(self):
-        from primesim.config import OracleConfig
-
         session = 600 * NS
         failures = []
         for displacement in (-20, +20):
             for eps in (1, 5):
                 for seed in (1, 2, 3, 4, 5):
                     config = _prime_config(
-                        oracle=OracleConfig(kind="constant", price=1000),
+                        oracle=ConstantOracle(price=1000),
                         start_price=1000 + displacement, noise=eps,
                         seed=seed, session_ns=session)
                     sim = build_simulation(config)

@@ -5,16 +5,14 @@ import pytest
 
 from primesim.agents import (
     PrimeMarketAgent,
-    PrimeMarketParams,
     TechnicalAgent,
-    TechnicalParams,
     ZiLimitAgent,
-    ZiLimitParams,
     ZiMarketAgent,
-    ZiMarketParams,
     DarpMarketAgent,
 )
 from primesim.book import L1Snapshot, Side
+from primesim.config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
+from primesim.errors import ConfigError
 from primesim.darp import DarpParams, DarpProcess, generate_signs, lag_distribution
 from primesim.impact import order_sign_acf
 from primesim.oracle import constant_series, observe
@@ -80,41 +78,43 @@ class ScriptedRng:
 class TestZiLimit:
     def test_cancel_branch_removes_oldest(self):
         sim = StubSim(best_bid=49, best_ask=52)
-        agent = ZiLimitAgent(3, ZiLimitParams(wake_rate=1.0, p_cancel=0.0), np.random.default_rng(0))
+        agent = ZiLimitAgent(3, ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=0.0),
+                             np.random.default_rng(0))
         agent.rng = ScriptedRng(randoms=[0.9, 0.9], integers=[30, 70])
-        agent.params = ZiLimitParams(wake_rate=1.0, p_cancel=0.0)
+        agent.group = ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=0.0)
         agent.wakeup(sim)
         agent.wakeup(sim)
         assert len(sim.placed_limits) == 2
-        agent.params = ZiLimitParams(wake_rate=1.0, p_cancel=1.0)
+        agent.group = ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=1.0)
         agent.rng = ScriptedRng(randoms=[0.0])
         agent.wakeup(sim)
         assert sim.cancelled == [1]  # oldest first
 
     def test_cancel_with_no_orders_is_noop(self):
         sim = StubSim(best_bid=49, best_ask=52)
-        agent = ZiLimitAgent(3, ZiLimitParams(wake_rate=1.0, p_cancel=1.0), ScriptedRng(randoms=[0.0]))
+        agent = ZiLimitAgent(3, ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=1.0),
+                             ScriptedRng(randoms=[0.0]))
         agent.wakeup(sim)
         assert sim.cancelled == [] and sim.placed_limits == []
 
     def test_santa_fe_buy_below_mid(self):
         # mid 50.5; drawn valuation 30 -> buy limit at 30
         sim = StubSim(best_bid=50, best_ask=51)
-        agent = ZiLimitAgent(0, ZiLimitParams(wake_rate=1.0, p_cancel=0.5),
+        agent = ZiLimitAgent(0, ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=0.5),
                              ScriptedRng(randoms=[0.99], integers=[30]))
         agent.wakeup(sim)
         assert sim.placed_limits == [(Side.BID, 30, 1)]
 
     def test_santa_fe_sell_at_or_above_mid(self):
         sim = StubSim(best_bid=50, best_ask=51)
-        agent = ZiLimitAgent(0, ZiLimitParams(wake_rate=1.0, p_cancel=0.5),
+        agent = ZiLimitAgent(0, ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=0.5),
                              ScriptedRng(randoms=[0.99], integers=[77]))
         agent.wakeup(sim)
         assert sim.placed_limits == [(Side.ASK, 77, 1)]
 
     def test_skips_on_one_sided_book(self):
         sim = StubSim(best_bid=50, best_ask=None)
-        agent = ZiLimitAgent(0, ZiLimitParams(wake_rate=1.0, p_cancel=0.5),
+        agent = ZiLimitAgent(0, ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=0.5),
                              ScriptedRng(randoms=[0.99]))
         agent.wakeup(sim)
         assert sim.placed_limits == []
@@ -122,8 +122,8 @@ class TestZiLimit:
     def test_prime_band_and_branch(self):
         # mid 1000: prices within +-50, buys strictly below mid, sells above
         sim = StubSim(best_bid=999, best_ask=1001)
-        params = ZiLimitParams(wake_rate=1.0, p_cancel=0.0, mode="prime", half_width=50)
-        agent = ZiLimitAgent(0, params, np.random.default_rng(42))
+        group = ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=0.0, mode="prime", half_width=50)
+        agent = ZiLimitAgent(0, group, np.random.default_rng(42))
         for _ in range(10_000):
             agent.wakeup(sim)
         prices = {}
@@ -140,8 +140,8 @@ class TestZiLimit:
     def test_branch_rule_santa_fe_sampling(self):
         # buys always strictly below the decision-time mid, sells at or above
         sim = StubSim(best_bid=50, best_ask=51)
-        params = ZiLimitParams(wake_rate=1.0, p_cancel=0.0)
-        agent = ZiLimitAgent(0, params, np.random.default_rng(7))
+        group = ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=0.0)
+        agent = ZiLimitAgent(0, group, np.random.default_rng(7))
         for _ in range(10_000):
             agent.wakeup(sim)
         for side, price, _ in sim.placed_limits:
@@ -154,7 +154,7 @@ class TestZiLimit:
 class TestZiMarket:
     def test_buy_fraction_is_half(self):
         sim = StubSim()
-        agent = ZiMarketAgent(0, ZiMarketParams(wake_rate=1.0), np.random.default_rng(0))
+        agent = ZiMarketAgent(0, ZiMarketGroup(count=1, wake_rate=1.0), np.random.default_rng(0))
         n = 100_000
         for _ in range(n):
             agent.wakeup(sim)
@@ -163,7 +163,7 @@ class TestZiMarket:
 
     def test_sign_stream_is_uncorrelated(self):
         sim = StubSim()
-        agent = ZiMarketAgent(0, ZiMarketParams(wake_rate=1.0), np.random.default_rng(1))
+        agent = ZiMarketAgent(0, ZiMarketGroup(count=1, wake_rate=1.0), np.random.default_rng(1))
         n = 100_000
         for _ in range(n):
             agent.wakeup(sim)
@@ -174,7 +174,8 @@ class TestZiMarket:
 
     def test_size_respected(self):
         sim = StubSim()
-        agent = ZiMarketAgent(0, ZiMarketParams(wake_rate=1.0, size=4), np.random.default_rng(2))
+        agent = ZiMarketAgent(0, ZiMarketGroup(count=1, wake_rate=1.0, size=4),
+                              np.random.default_rng(2))
         for _ in range(100):
             agent.wakeup(sim)
         assert all(qty == 4 for _, qty in sim.placed_markets)
@@ -220,8 +221,9 @@ class TestDarp:
 
     def test_agent_emits_process_signs(self):
         sim = StubSim()
-        agent = DarpMarketAgent(0, DarpParams(p=1.0, gamma=1.5, n=5), 1.0, 1,
-                                np.random.default_rng(6))
+        group = ZiMarketGroup(count=1, wake_rate=1.0, mode="darp", darp_p=1.0,
+                              darp_gamma=1.5, darp_n=5)
+        agent = DarpMarketAgent(0, group, np.random.default_rng(6))
         agent.process.history = type(agent.process.history)([1] * 5, maxlen=5)
         for _ in range(20):
             agent.wakeup(sim)
@@ -231,7 +233,7 @@ class TestDarp:
 class TestPrimeMarket:
     def test_forced_buy_when_oracle_above_mid(self):
         sim = StubSim(best_bid=999, best_ask=1001, series=constant_series(1010))
-        agent = PrimeMarketAgent(0, PrimeMarketParams(wake_rate=1.0, noise_half_width=0),
+        agent = PrimeMarketAgent(0, ZiMarketGroup(count=1, wake_rate=1.0, mode="prime", noise=0),
                                  np.random.default_rng(0))
         for _ in range(500):
             agent.wakeup(sim)
@@ -239,7 +241,7 @@ class TestPrimeMarket:
 
     def test_coin_flip_at_equality(self):
         sim = StubSim(best_bid=999, best_ask=1001, series=constant_series(1000))
-        agent = PrimeMarketAgent(0, PrimeMarketParams(wake_rate=1.0, noise_half_width=0),
+        agent = PrimeMarketAgent(0, ZiMarketGroup(count=1, wake_rate=1.0, mode="prime", noise=0),
                                  np.random.default_rng(1))
         n = 10_000
         for _ in range(n):
@@ -251,7 +253,7 @@ class TestPrimeMarket:
         # true price = mid + 2, noise half-width 5: of the 11 offsets, 7 land
         # above the mid, 1 on it (coin flip), 3 below -> P(buy) = 15/22
         sim = StubSim(best_bid=999, best_ask=1001, series=constant_series(1002))
-        agent = PrimeMarketAgent(0, PrimeMarketParams(wake_rate=1.0, noise_half_width=5),
+        agent = PrimeMarketAgent(0, ZiMarketGroup(count=1, wake_rate=1.0, mode="prime", noise=5),
                                  np.random.default_rng(2))
         n = 10_000
         for _ in range(n):
@@ -261,7 +263,7 @@ class TestPrimeMarket:
 
     def test_coin_flip_when_mid_undefined(self):
         sim = StubSim(best_bid=None, best_ask=None, series=constant_series(1000))
-        agent = PrimeMarketAgent(0, PrimeMarketParams(wake_rate=1.0, noise_half_width=0),
+        agent = PrimeMarketAgent(0, ZiMarketGroup(count=1, wake_rate=1.0, mode="prime", noise=0),
                                  np.random.default_rng(3))
         n = 4000
         for _ in range(n):
@@ -278,59 +280,59 @@ class TestTechnical:
 
     def test_trend_buys_rising_mid(self):
         sim, lookback = self.lookback_sim(210, 200)  # +5 ticks over the lookback
-        agent = TechnicalAgent(0, TechnicalParams(kind="trend", lookback_ns=lookback),
-                               np.random.default_rng(0))
+        agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=lookback),
+                               np.random.default_rng(0), "trend")
         agent.wakeup(sim)
         assert sim.placed_markets == [(Side.BID, 1)]
 
     def test_mean_revert_sells_rising_mid(self):
         sim, lookback = self.lookback_sim(210, 200)
-        agent = TechnicalAgent(0, TechnicalParams(kind="mean_revert", lookback_ns=lookback),
-                               np.random.default_rng(0))
+        agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=lookback),
+                               np.random.default_rng(0), "mean_revert")
         agent.wakeup(sim)
         assert sim.placed_markets == [(Side.ASK, 1)]
 
     def test_dead_zone_skips(self):
         sim, lookback = self.lookback_sim(200, 200)
         for kind in ("trend", "mean_revert"):
-            agent = TechnicalAgent(0, TechnicalParams(kind=kind, lookback_ns=lookback),
-                                   np.random.default_rng(0))
+            agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=lookback),
+                                   np.random.default_rng(0), kind)
             agent.wakeup(sim)
         assert sim.placed_markets == []
 
     def test_threshold_dead_zone(self):
         sim, lookback = self.lookback_sim(206, 200)  # +3 ticks
-        agent = TechnicalAgent(0, TechnicalParams(kind="trend", lookback_ns=lookback,
-                                                  threshold=3),
-                               np.random.default_rng(0))
+        agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=lookback, threshold=3),
+                               np.random.default_rng(0), "trend")
         agent.wakeup(sim)
         assert sim.placed_markets == []  # delta == threshold is inside the dead zone
 
     def test_insufficient_history_skips(self):
         sim = StubSim(now=10 * 10**9, mid_history={5 * 10**9: 200})
-        agent = TechnicalAgent(0, TechnicalParams(kind="trend", lookback_ns=60 * 10**9),
-                               np.random.default_rng(0))
+        agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=60 * 10**9),
+                               np.random.default_rng(0), "trend")
         agent.wakeup(sim)
         assert sim.placed_markets == []
 
 
 class TestParamValidation:
     def test_bad_p_cancel(self):
-        with pytest.raises(ValueError):
-            ZiLimitParams(wake_rate=1.0, p_cancel=1.5)
+        with pytest.raises(ConfigError, match="p_cancel"):
+            ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=1.5)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            ZiLimitParams(wake_rate=1.0, mode="smart")
+        with pytest.raises(ConfigError, match="mode"):
+            ZiLimitGroup(count=1, wake_rate=1.0, mode="smart")
 
     def test_bad_copy_probability(self):
         with pytest.raises(ValueError):
             DarpParams(p=-0.1, gamma=1.5)
 
     def test_bad_technical_kind(self):
-        with pytest.raises(ValueError):
-            TechnicalParams(kind="arbitrage", lookback_ns=10**9)
+        with pytest.raises(ValueError, match="technical kind"):
+            TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=10**9),
+                           np.random.default_rng(0), "arbitrage")
 
     def test_bad_wake_rate(self):
-        with pytest.raises(ValueError):
-            ZiMarketAgent(0, ZiMarketParams(wake_rate=0.0), np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="wake_rate"):
+            ZiMarketAgent(0, ZiMarketGroup(count=1, wake_rate=0.0), np.random.default_rng(0))

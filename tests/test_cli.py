@@ -35,6 +35,31 @@ class TestSimulate:
         bad.write_text("seed: -1\nsession: 1h\nagents: {}\n")
         assert cli(["simulate", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", [
+        "darp_literal_branch: 'no'",
+        "darp_literal_branch: 1",
+        "darp_literal_branch: 'false'",
+    ])
+    def test_non_bool_literal_branch_exit_code(self, tmp_path, line):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(CONFIG.replace("mode: santa_fe, size: 2}",
+                                      f"mode: darp, size: 2, {line}}}"))
+        assert cli(["simulate", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
+
+    def test_inverted_band_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(CONFIG.replace("band_low: 1, band_high: 1000",
+                                      "band_low: 50, band_high: 10"))
+        assert cli(["simulate", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-3"), ("--session", "0s"),
+                                            ("--session", "soon")])
+    def test_bad_override_exit_code(self, tmp_path, flag, value):
+        out = tmp_path / "x"
+        assert cli(["simulate", "santa-fe", flag, value, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_preset_with_overrides(self, tmp_path):
         out = tmp_path / "preset_run"
         code = cli(["simulate", "santa-fe", "--session", "30s", "--seed", "5",

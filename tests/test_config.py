@@ -1,12 +1,25 @@
 """Config schema: parsing, validation, round-trips, durations, presets."""
 
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
+
 import pytest
+import yaml
 
 from primesim.config import (
+    _TYPES,
+    GROUPS,
+    ConstantOracle,
+    TechnicalGroup,
+    ZiLimitGroup,
+    ZiMarketGroup,
+    _demand,
+    _key,
     dump_config,
     format_duration,
     load_preset,
     loads_config,
+    parse_config,
     parse_duration,
     to_dict,
 )
@@ -24,6 +37,38 @@ agents:
     count: 2
     wake_rate: 1.0
 """
+
+
+# One section of each kind that carries a float field.
+EVERY_FLOAT = """
+seed: 1
+session: 10m
+oracle: {kind: random_walk, start: 100, sigma: 1.0, step: 5s}
+agents:
+  zi_limit: {count: 1, wake_rate: 1.0, p_cancel: 0.5}
+  zi_market: {count: 1, wake_rate: 1.0, mode: darp, darp_p: 0.9, darp_gamma: 1.5}
+  trend: {count: 1, wake_rate: 1.0}
+"""
+
+FLOAT_FIELDS = [
+    (("agents", "zi_limit"), "wake_rate"),
+    (("agents", "zi_market"), "wake_rate"),
+    (("agents", "trend"), "wake_rate"),
+    (("agents", "zi_limit"), "p_cancel"),
+    (("agents", "zi_market"), "darp_p"),
+    (("agents", "zi_market"), "darp_gamma"),
+    (("oracle",), "sigma"),
+]
+
+
+def with_value(path, key, value) -> str:
+    """EVERY_FLOAT with one field set to a YAML scalar, as YAML text."""
+    data = yaml.safe_load(EVERY_FLOAT)
+    section = data
+    for name in path:
+        section = section[name]
+    section[key] = yaml.safe_load(value)
+    return yaml.safe_dump(data)
 
 
 class TestDurations:
@@ -98,6 +143,63 @@ class TestParse:
             loads_config("seed: [unclosed")
 
 
+class TestFieldValidation:
+    def test_every_float_config_is_valid(self):
+        config = loads_config(EVERY_FLOAT)
+        assert config.zi_market.darp_gamma == 1.5 and config.oracle.sigma == 1.0
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("path,key", FLOAT_FIELDS,
+                             ids=[".".join(p + (k,)) for p, k in FLOAT_FIELDS])
+    def test_non_finite_float_rejected(self, path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            loads_config(with_value(path, key, value))
+
+    def test_darp_gamma_must_be_a_number(self):
+        with pytest.raises(ConfigError, match="darp_gamma"):
+            loads_config(with_value(("agents", "zi_market"), "darp_gamma", "abc"))
+
+    @pytest.mark.parametrize("value", ["'no'", "1", "'false'", "null"])
+    def test_literal_branch_only_takes_a_bool(self, value):
+        with pytest.raises(ConfigError, match="darp_literal_branch"):
+            loads_config(with_value(("agents", "zi_market"), "darp_literal_branch", value))
+
+    def test_integer_float_normalized(self):
+        config = loads_config(with_value(("agents", "zi_limit"), "wake_rate", "2"))
+        assert config.zi_limit.wake_rate == 2.0 and isinstance(config.zi_limit.wake_rate, float)
+
+    def test_band_order_checked(self):
+        bad = with_value(("agents", "zi_limit"), "band_low", "50")
+        with pytest.raises(ConfigError, match="band_low"):
+            loads_config(bad.replace("p_cancel: 0.5", "p_cancel: 0.5\n    band_high: 10"))
+
+    def test_constant_oracle_rejects_random_walk_keys(self):
+        bad = MINIMAL + "oracle: {kind: constant, price: 100, sigma: 1.0}\n"
+        with pytest.raises(ConfigError, match="sigma"):
+            loads_config(bad)
+
+    def test_missing_group_key_named(self):
+        with pytest.raises(ConfigError, match="agents.zi_limit: missing required key 'wake_rate'"):
+            loads_config(MINIMAL + "  zi_limit: {count: 1}\n")
+
+    def test_direct_construction_validated(self):
+        with pytest.raises(ConfigError, match="lookback"):
+            TechnicalGroup(count=1, lookback_ns=0)
+        with pytest.raises(ConfigError, match="price"):
+            ConstantOracle(price=0)
+        with pytest.raises(ConfigError, match="band_low"):
+            ZiLimitGroup(count=1, wake_rate=1.0, band_low=10, band_high=10)
+        with pytest.raises(ConfigError, match="noise"):
+            ZiMarketGroup(count=1, wake_rate=1.0, noise=-1)
+
+    def test_replace_revalidates(self):
+        config = load_preset("prime")
+        with pytest.raises(ConfigError, match="seed"):
+            replace(config, seed=-3)
+        with pytest.raises(ConfigError, match="oracle"):
+            replace(config, oracle=None)
+
+
 class TestRoundTrip:
     def test_semantic_identity(self):
         config = loads_config(MINIMAL)
@@ -111,9 +213,11 @@ class TestRoundTrip:
 
     def test_to_dict_reparses(self):
         config = load_preset("prime")
-        from primesim.config import parse_config
-
         assert parse_config(to_dict(config)) == config
+
+    def test_every_section_round_trips(self):
+        config = loads_config(EVERY_FLOAT)
+        assert loads_config(dump_config(config)) == config
 
 
 class TestPresets:
@@ -139,3 +243,21 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             load_preset("nasdaq")
+
+
+class TestReadme:
+    def test_every_group_field_documented(self):
+        """README's field table is the group declarations, row for row."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        names: dict = {}
+        for name, cls in GROUPS.items():
+            names.setdefault(cls, []).append(name)
+        for cls, group_names in names.items():
+            for f in fields(cls):
+                d = f.default
+                default = ("required" if d is MISSING
+                           else format_duration(d) if f.metadata["duration"]
+                           else str(d).lower() if isinstance(d, bool) else d)
+                demand = _demand(_TYPES[f.type][1], f.metadata)
+                row = f"| {', '.join(group_names)} | `{_key(f)}` | {default} | {demand} |"
+                assert row in readme, row

@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from primesim.cli import cli
+from primesim.config import dump_config, load_preset
 
 PINNED = {
     "prime": {
@@ -31,3 +32,119 @@ def test_five_minute_run_matches_pinned_digests(preset, tmp_path):
     assert cli(["simulate", preset, "--session", "5m", "--seed", "1", "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED[preset]}
     assert got == PINNED[preset]
+
+
+# A 2 min run of a small ecology the preset digests do not cover: darp-mode
+# market agents, a constant oracle, both technical groups, and non-default
+# values for every group field that a wiring slip could drop.
+GUARD_CONFIG = """\
+seed: 3
+session: 2m
+book: {start_price: 1000, half_width: 50, slope: 2}
+oracle: {kind: constant, price: 1000}
+agents:
+  zi_limit: {count: 100, wake_rate: 1.0, p_cancel: 0.4, mode: prime, half_width: 30, size: 2}
+  zi_market: {count: 10, wake_rate: 0.5, mode: darp, size: 3, darp_p: 0.8, darp_gamma: 1.3,
+              darp_n: 20, darp_literal_branch: true}
+  trend: {count: 5, wake_rate: 1.0, lookback: 10s, threshold: 1, size: 2}
+  mean_revert: {count: 5, wake_rate: 0.5, lookback: 20s}
+"""
+
+GUARD_PINNED = {
+    "trades.csv": "8e3a0bfb02b8e0ba7cc6bca8e134472d7591201056fbaf3bb17968b985e60fd9",
+    "l1.csv": "ec04aaff177f43ffb1b350ad7883769b38bd6dc5be0f5556557e2e31696f614d",
+    "summary.txt": "440246c39e9a93d504c257db939f3c714ad55661368bfe9df7ca8f6a5c7b821f",
+}
+
+
+def test_darp_constant_oracle_run_matches_pinned_digests(tmp_path):
+    config = tmp_path / "guard.yaml"
+    config.write_text(GUARD_CONFIG)
+    out = tmp_path / "run"
+    assert cli(["simulate", str(config), "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GUARD_PINNED}
+    assert got == GUARD_PINNED
+
+
+# dump_config(load_preset(name)), byte for byte: the config.yaml a run
+# directory records, which replay reads back.
+PRESET_DUMPS = {
+    "prime": """\
+seed: 1
+session: 1h
+book:
+  start_price: 1000
+  half_width: 50
+  slope: 2
+oracle:
+  kind: random_walk
+  start: 1000
+  sigma: 1.0
+  step: 5s
+agents:
+  zi_limit:
+    count: 1000
+    wake_rate: 0.4
+    p_cancel: 0.5
+    mode: prime
+    band_low: 1
+    band_high: 100
+    half_width: 50
+    size: 1
+  zi_market:
+    count: 30
+    wake_rate: 0.5
+    mode: prime
+    size: 1
+    noise: 5
+    darp_p: 0.9
+    darp_gamma: 1.5
+    darp_n: 50
+    darp_literal_branch: false
+  trend:
+    count: 10
+    wake_rate: 1.0
+    lookback: 30s
+    threshold: 0
+    size: 1
+  mean_revert:
+    count: 10
+    wake_rate: 0.5
+    lookback: 1m
+    threshold: 0
+    size: 1
+""",
+    "santa-fe": """\
+seed: 1
+session: 1h
+book:
+  start_price: 500
+  half_width: 200
+  slope: 3
+agents:
+  zi_limit:
+    count: 1000
+    wake_rate: 0.2
+    p_cancel: 0.5
+    mode: santa_fe
+    band_low: 1
+    band_high: 1000
+    half_width: 50
+    size: 1
+  zi_market:
+    count: 30
+    wake_rate: 0.1
+    mode: santa_fe
+    size: 4
+    noise: 5
+    darp_p: 0.9
+    darp_gamma: 1.5
+    darp_n: 50
+    darp_literal_branch: false
+""",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_DUMPS))
+def test_preset_dump_is_byte_identical(preset):
+    assert dump_config(load_preset(preset)) == PRESET_DUMPS[preset]

@@ -1,10 +1,13 @@
 """Measurement pipeline against brute-force oracles and constructed datasets."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from primesim.analysis import impact_report
+from primesim.config import load_preset
 from primesim.errors import NumericalError
 from primesim.impact import (
     AdjustedSample,
@@ -14,6 +17,7 @@ from primesim.impact import (
     decay_regression,
     fit_delta,
     fit_power_law,
+    fit_scale,
     order_sign_acf,
     resample,
     rolling_volatility,
@@ -21,7 +25,8 @@ from primesim.impact import (
     split_by_previous_sign,
     weighted_volume,
 )
-from primesim.tradeio import QuoteRecord, TradeRecord
+from primesim.runner import build_simulation
+from primesim.tradeio import QuoteRecord, TradeRecord, records_from_tape
 
 NS = 10**9
 W5 = 5 * NS
@@ -290,6 +295,40 @@ class TestFitDelta:
         samples = [AdjustedSample(t=i, q=0.0, y=1.0, prev_sign=0) for i in range(200)]
         with pytest.raises(ValueError, match="unidentifiable"):
             fit_delta(samples)
+
+
+class TestFitScale:
+    def test_matches_fit_delta_at_its_optimum(self):
+        samples = synthetic_samples(np.random.default_rng(8), 5_000, delta=0.6, noise_sd=0.2)
+        fit = fit_delta(samples)
+        q = np.asarray([s.q for s in samples])
+        y = np.asarray([s.y for s in samples])
+        assert fit_scale(q, y, fit.delta) == (fit.k, fit.sse)
+
+    def test_closed_form(self):
+        q = np.array([-4.0, 1.0, 9.0])
+        y = np.array([-1.0, 2.0, 2.0])
+        x = signed_power(q, 0.5)
+        k, sse = fit_scale(q, y, 0.5)
+        assert k == pytest.approx(np.dot(x, y) / np.dot(x, x))
+        assert sse == pytest.approx(np.sum((y - k * x) ** 2))
+
+    def test_all_zero_net_volume_rejected(self):
+        with pytest.raises(ValueError, match="all net volumes are zero"):
+            fit_scale(np.zeros(5), np.ones(5), 0.5)
+
+    def test_pinned_delta_report_uses_helper(self):
+        config = replace(load_preset("santa-fe"), session_ns=120 * NS)
+        sim = build_simulation(config)
+        sim.run_until(config.session_ns)
+        quotes = [QuoteRecord(*row) for row in sim.quotes]
+        report = impact_report(records_from_tape(sim.trades), quotes, window_ns=NS,
+                               horizon_ns=30 * NS, delta=0.55, n_buckets=5, min_periods=10)
+        q = np.asarray([s.q for s in report.samples])
+        y = np.asarray([s.y for s in report.samples])
+        assert len(report.samples) > 50
+        assert (report.delta_fit.k, report.delta_fit.sse) == fit_scale(q, y, 0.55)
+        assert report.delta_fit.delta == 0.55 and report.delta_fit.n == len(report.samples)
 
 
 def lattice_samples(rng, n, prev_sign=False):
