@@ -5,12 +5,12 @@ from .calibrate import TuneResult, tune_darp
 from .config import RunConfig, load_config, load_preset
 from .darp import DarpParams, DarpProcess, generate_signs
 from .impact import (
-    AdjustedSample,
     BucketStats,
     DecayKernel,
     DeltaFit,
     PowerLawFit,
-    Window,
+    Samples,
+    Windows,
     adjust,
     bucket_means,
     decay_regression,
@@ -29,10 +29,10 @@ from .runner import build_simulation, replay, run_simulation
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustedSample", "BucketStats", "DarpParams", "DarpProcess", "DecayKernel",
+    "BucketStats", "DarpParams", "DarpProcess", "DecayKernel",
     "DeltaFit", "L1Snapshot", "LimitOrder", "MarketResult", "OrderBook",
-    "PowerLawFit", "PriceSeries", "RunConfig", "RunStats", "Side", "Simulation",
-    "Trade", "TuneResult", "Window", "adjust", "bucket_means",
+    "PowerLawFit", "PriceSeries", "RunConfig", "RunStats", "Samples", "Side", "Simulation",
+    "Trade", "TuneResult", "Windows", "adjust", "bucket_means",
     "build_simulation", "decay_regression", "fit_delta", "fit_power_law",
     "generate_signs", "load_config", "load_preset", "make_series",
     "next_poisson_wakeup", "observe", "order_sign_acf", "replay", "resample",

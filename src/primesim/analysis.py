@@ -8,21 +8,14 @@ from pathlib import Path
 import numpy as np
 
 from . import impact, tradeio
-from .impact import (
-    AdjustedSample,
-    BucketStats,
-    DecayKernel,
-    DeltaFit,
-    PowerLawFit,
-    Window,
-)
-from .tradeio import QuoteRecord, TradeRecord
+from .impact import BucketStats, DecayKernel, DeltaFit, PowerLawFit, Samples, Windows
+from .kernel import QuoteLog, TradeTape
 
 
 @dataclass(frozen=True)
 class ImpactReport:
-    windows: list[Window]
-    samples: list[AdjustedSample]
+    windows: Windows
+    samples: Samples
     skipped: int
     delta_fit: DeltaFit
     buckets: BucketStats
@@ -31,12 +24,12 @@ class ImpactReport:
 
 
 def prepare_samples(
-    trades: list[TradeRecord],
-    quotes: list[QuoteRecord],
+    trades: TradeTape,
+    quotes: QuoteLog,
     window_ns: int = impact.WINDOW_NS,
     horizon_ns: int = impact.HORIZON_NS,
     min_periods: int = 2,
-) -> tuple[list[Window], list[AdjustedSample], int]:
+) -> tuple[Windows, Samples, int]:
     windows = impact.resample(trades, quotes, window_ns)
     sigma = impact.rolling_volatility(windows, horizon_ns, min_periods=min_periods)
     volume = impact.weighted_volume(windows, horizon_ns, min_periods=min_periods)
@@ -45,8 +38,8 @@ def prepare_samples(
 
 
 def impact_report(
-    trades: list[TradeRecord],
-    quotes: list[QuoteRecord],
+    trades: TradeTape,
+    quotes: QuoteLog,
     window_ns: int = impact.WINDOW_NS,
     horizon_ns: int = impact.HORIZON_NS,
     delta: float | None = None,
@@ -59,8 +52,7 @@ def impact_report(
     if delta is None:
         fit = impact.fit_delta(samples)
     else:
-        k, sse = impact.fit_scale(np.asarray([s.q for s in samples]),
-                                  np.asarray([s.y for s in samples]), delta)
+        k, sse = impact.fit_scale(samples.q, samples.y, delta)
         fit = DeltaFit(delta=delta, k=k, sse=sse, n=len(samples))
     buckets = impact.bucket_means(samples, n_buckets=n_buckets, delta=fit.delta)
     prev_buy, prev_sell = impact.split_by_previous_sign(samples, n_buckets=n_buckets,
@@ -73,37 +65,38 @@ def impact_report(
 # ------------------------------------------------------------------- writers
 
 
-def write_windows(path: Path, windows: list[Window]) -> None:
+def _rows(*columns: np.ndarray):
+    """Rows of equal-length numpy columns as Python ints and floats."""
+    return zip(*(c.tolist() for c in columns))
+
+
+def write_windows(path: Path, windows: Windows) -> None:
     tradeio.write_table(path, ["t", "start_ns", "open_mid2x", "close_mid2x",
                                "q_net", "gross", "dp"],
-                        ((w.t, w.start_ns, w.open_mid2x, w.close_mid2x,
-                          w.q_net, w.gross, w.dp) for w in windows))
+                        _rows(windows.t, windows.start_ns, windows.open_mid2x,
+                              windows.close_mid2x, windows.q_net, windows.gross, windows.dp))
 
 
-def write_samples(path: Path, samples: list[AdjustedSample]) -> None:
+def write_samples(path: Path, samples: Samples) -> None:
     tradeio.write_table(path, ["t", "q", "y", "prev_sign"],
-                        ((s.t, s.q, s.y, s.prev_sign) for s in samples))
+                        _rows(samples.t, samples.q, samples.y, samples.prev_sign))
 
 
-def write_buckets(path: Path, buckets: BucketStats, group: str | None = None) -> None:
-    header = ["bucket", "lo", "hi", "mean_q", "mean_y", "count"]
-    rows = [[i, buckets.lo[i], buckets.hi[i], float(buckets.mean_q[i]),
-             float(buckets.mean_y[i]), int(buckets.count[i])]
-            for i in range(len(buckets.count))]
-    if group is not None:
-        header = ["group"] + header
-        rows = [[group] + r for r in rows]
-    tradeio.write_table(path, header, rows)
+_BUCKET_HEADER = ["bucket", "lo", "hi", "mean_q", "mean_y", "count"]
+
+
+def _bucket_rows(b: BucketStats):
+    return _rows(np.arange(len(b.count)), b.lo, b.hi, b.mean_q, b.mean_y, b.count)
+
+
+def write_buckets(path: Path, buckets: BucketStats) -> None:
+    tradeio.write_table(path, _BUCKET_HEADER, _bucket_rows(buckets))
 
 
 def write_split_buckets(path: Path, prev_buy: BucketStats, prev_sell: BucketStats) -> None:
-    header = ["group", "bucket", "lo", "hi", "mean_q", "mean_y", "count"]
-    rows = []
-    for name, b in (("prev_buy", prev_buy), ("prev_sell", prev_sell)):
-        for i in range(len(b.count)):
-            rows.append([name, i, b.lo[i], b.hi[i], float(b.mean_q[i]),
-                         float(b.mean_y[i]), int(b.count[i])])
-    tradeio.write_table(path, header, rows)
+    rows = [(name, *row) for name, b in (("prev_buy", prev_buy), ("prev_sell", prev_sell))
+            for row in _bucket_rows(b)]
+    tradeio.write_table(path, ["group"] + _BUCKET_HEADER, rows)
 
 
 def write_delta_fit(path: Path, fit: DeltaFit, skipped: int) -> None:
@@ -128,33 +121,20 @@ def write_power_law(path: Path, fit: PowerLawFit) -> None:
                         [(fit.c, fit.alpha, fit.r2, fit.n)])
 
 
-def time_averaged_mid(quotes: list[QuoteRecord], t_from: int, t_to: int) -> float:
+def time_averaged_mid(quotes: QuoteLog, t_from: int, t_to: int) -> float:
     """Time-weighted average mid over [t_from, t_to], carrying quotes forward."""
     if t_to <= t_from:
         raise ValueError("empty averaging interval")
-    times = [q.ts for q in quotes if q.bid is not None and q.ask is not None]
-    mids = [(q.bid + q.ask) / 2.0 for q in quotes if q.bid is not None and q.ask is not None]
-    if not times or times[0] > t_from:
+    ts, mid2x = quotes.column("ts"), quotes.column("mid2x")
+    first = int(np.searchsorted(ts, t_from, side="right"))  # row first - 1 holds at t_from
+    stop = int(np.searchsorted(ts, t_to, side="left"))
+    if first == 0 or mid2x[first - 1] == 0:
         raise ValueError("no mid defined over the full interval")
-    i = int(np.searchsorted(np.asarray(times, dtype=np.int64), t_from, side="right")) - 1
-    total = 0.0
-    t = t_from
-    while t < t_to:
-        next_change = times[i + 1] if i + 1 < len(times) else t_to
-        seg_end = min(t_to, next_change)
-        total += mids[i] * (seg_end - t)
-        t = seg_end
-        i += 1
-    return total / (t_to - t_from)
+    held = np.diff(np.concatenate([[t_from], ts[first:stop], [t_to]]))
+    return float(np.dot(mid2x[first - 1:stop] / 2.0, held)) / (t_to - t_from)
 
 
-def mid_series_at(quotes: list[QuoteRecord], times: np.ndarray) -> np.ndarray:
+def mid_series_at(quotes: QuoteLog, times: np.ndarray) -> np.ndarray:
     """Mid (in ticks, possibly half-integral) carried forward to each time; NaN before quotes."""
-    qt = [q.ts for q in quotes if q.bid is not None and q.ask is not None]
-    qm = [(q.bid + q.ask) / 2.0 for q in quotes if q.bid is not None and q.ask is not None]
-    qt_arr = np.asarray(qt, dtype=np.int64)
-    idx = np.searchsorted(qt_arr, times, side="right") - 1
-    out = np.full(len(times), np.nan)
-    valid = idx >= 0
-    out[valid] = np.asarray(qm)[idx[valid]]
-    return out
+    mid2x = quotes.mid2x_at(times)
+    return np.where(mid2x > 0, mid2x / 2.0, np.nan)

@@ -146,8 +146,7 @@ def analyze_acf(inputs, max_lag, out) -> None:
         trades = tradeio.read_trades(inputs[0]).records
     else:
         raise click.UsageError("pass a run directory or TRADES_CSV [L1_CSV]")
-    signs = tradeio.trade_signs(trades)
-    acf = impact.order_sign_acf(signs, max_lag=max_lag)
+    acf = impact.order_sign_acf(trades.column("sign"), max_lag=max_lag)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     analysis.write_acf(out_dir / "acf.csv", acf)
@@ -183,10 +182,11 @@ def tune_dar(target_alpha, target_c, budget, seed, out) -> None:
 @click.argument("run_dir")
 def replay_cmd(run_dir: str) -> None:
     """Re-run a recorded run directory and verify byte-identical artifacts."""
-    if runner.replay(run_dir):
-        click.echo("replay identical")
-    else:
-        raise NumericalError(f"replay of {run_dir} did not reproduce identical artifacts")
+    difference = runner.replay(run_dir)
+    if difference is not None:
+        raise NumericalError(f"replay of {run_dir} did not reproduce identical artifacts; "
+                             f"first difference at {difference}")
+    click.echo("replay identical")
 
 
 def cli(argv: list[str]) -> int:

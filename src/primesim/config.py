@@ -30,10 +30,17 @@ _UNIT_NS = {"ns": 1, "us": 10**3, "ms": 10**6, "s": 10**9, "m": 60 * 10**9, "h":
 
 
 def parse_duration(value) -> int:
-    """Duration to integer nanoseconds; accepts int ns or '<number><unit>'."""
+    """Duration to integer nanoseconds; accepts int ns or '<number><unit>'.
+
+    The number is read exactly, and one that does not come to a whole number
+    of nanoseconds ('2.5ns', '1.0000000001s') is rejected, not rounded.
+    """
     m = _DURATION_RE.match(value) if isinstance(value, str) else None
     if m:
-        ns = round(float(m.group(1)) * _UNIT_NS[m.group(2)])
+        whole, _, frac = m.group(1).partition(".")
+        ns, rest = divmod(int(whole + frac) * _UNIT_NS[m.group(2)], 10 ** len(frac))
+        if rest:
+            raise ConfigError(f"duration {value!r} is not a whole number of nanoseconds")
     elif isinstance(value, int) and not isinstance(value, bool):
         ns = value
     else:

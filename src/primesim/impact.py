@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .tradeio import QuoteRecord, TradeRecord
+from .kernel import QuoteLog, TradeTape
 
 WINDOW_NS = 5_000_000_000            # 5 s resample windows
 HORIZON_NS = 3_600_000_000_000       # 1 h trailing normalization horizon
@@ -29,30 +29,38 @@ DELTA_RANGE = (0.1, 1.5)
 MAX_LAG = 100
 
 
-@dataclass(frozen=True)
-class Window:
-    """One resample interval: net signed volume against mid-price change."""
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Contiguous resample windows as columns: net signed volume against mid change."""
 
-    t: int              # window index from the session start
-    start_ns: int
-    open_mid2x: int
-    close_mid2x: int
-    q_net: int          # buy volume minus sell volume
-    gross: int          # total traded volume
+    t: np.ndarray            # window index from the session start
+    start_ns: np.ndarray
+    open_mid2x: np.ndarray
+    close_mid2x: np.ndarray
+    q_net: np.ndarray        # buy volume minus sell volume
+    gross: np.ndarray        # total traded volume
+
+    def __len__(self) -> int:
+        return len(self.t)
 
     @property
-    def dp(self) -> float:
-        """Mid change over the window in ticks (may be half-integral)."""
+    def dp(self) -> np.ndarray:
+        """Mid change over each window in ticks (may be half-integral)."""
         return (self.close_mid2x - self.open_mid2x) / 2.0
 
 
-@dataclass(frozen=True)
-class AdjustedSample:
-    t: int
-    q: float            # net volume over trailing weighted volume
-    y: float            # mid change over trailing volatility
-    prev_sign: int      # sign of the previous window's net volume
-    q_net: int | None = None  # raw net volume of the window, when known
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Normalized windows as columns, one entry per usable window."""
+
+    t: np.ndarray
+    q: np.ndarray            # net volume over trailing weighted volume
+    y: np.ndarray            # mid change over trailing volatility
+    prev_sign: np.ndarray    # sign of the previous window's net volume
+    q_net: np.ndarray | None = None  # raw net volume of each window, when known
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -103,11 +111,7 @@ def signed_power(q: np.ndarray, delta: float) -> np.ndarray:
 # ---------------------------------------------------------------- resampling
 
 
-def resample(
-    trades: list[TradeRecord],
-    quotes: list[QuoteRecord],
-    window_ns: int = WINDOW_NS,
-) -> list[Window]:
+def resample(trades: TradeTape, quotes: QuoteLog, window_ns: int = WINDOW_NS) -> Windows:
     """Cut the session into contiguous windows of net volume and mid change.
 
     Mids carry forward through quiet windows. Leading windows with no defined
@@ -116,62 +120,43 @@ def resample(
     """
     if window_ns <= 0:
         raise ValueError("window length must be positive")
-    if not quotes:
+    if not len(quotes):
         raise ValueError("no quotes; cannot form mid prices")
-    mid_times, mid_values = [], []
-    for q in quotes:
-        if q.bid is not None and q.ask is not None:
-            mid_times.append(q.ts)
-            mid_values.append(q.bid + q.ask)
-    mid_times = np.asarray(mid_times, dtype=np.int64)
-    mid_values = np.asarray(mid_values, dtype=np.int64)
-    if mid_times.size and not np.all(np.diff(mid_times) >= 0):
+    quote_ts = quotes.column("ts")
+    if np.any(quote_ts[1:] < quote_ts[:-1]):
         raise ValueError("quotes must be time-sorted")
-
-    trade_ts = np.asarray([t.ts for t in trades], dtype=np.int64)
-    if trade_ts.size and not np.all(np.diff(trade_ts) >= 0):
+    trade_ts = trades.column("ts")
+    if np.any(trade_ts[1:] < trade_ts[:-1]):
         raise ValueError("trades must be time-sorted")
-    signed = np.asarray([t.sign * t.qty for t in trades], dtype=np.int64)
-    gross = np.asarray([t.qty for t in trades], dtype=np.int64)
+    qty = trades.column("qty")
 
-    t0 = int(quotes[0].ts) if not trade_ts.size else min(int(quotes[0].ts), int(trade_ts[0]))
-    t1 = int(quotes[-1].ts) if not trade_ts.size else max(int(quotes[-1].ts), int(trade_ts[-1]))
+    t0 = int(quote_ts[0]) if not trade_ts.size else min(int(quote_ts[0]), int(trade_ts[0]))
+    t1 = int(quote_ts[-1]) if not trade_ts.size else max(int(quote_ts[-1]), int(trade_ts[-1]))
     n_windows = (t1 - t0) // window_ns
     if n_windows < 1:
         raise ValueError("session shorter than one window")
 
     bounds = t0 + np.arange(n_windows + 1, dtype=np.int64) * window_ns
-    mid_idx = np.searchsorted(mid_times, bounds, side="right") - 1
+    mids = quotes.mid2x_at(bounds)
     cut = np.searchsorted(trade_ts, bounds, side="left")
-    sums = np.concatenate([[0], np.cumsum(signed)])
-    gsums = np.concatenate([[0], np.cumsum(gross)])
-
-    windows = []
-    for k in range(n_windows):
-        if mid_idx[k] < 0 or mid_idx[k + 1] < 0:
-            continue  # no mid defined yet
-        windows.append(Window(
-            t=k,
-            start_ns=int(bounds[k]),
-            open_mid2x=int(mid_values[mid_idx[k]]),
-            close_mid2x=int(mid_values[mid_idx[k + 1]]),
-            q_net=int(sums[cut[k + 1]] - sums[cut[k]]),
-            gross=int(gsums[cut[k + 1]] - gsums[cut[k]]),
-        ))
-    return windows
+    q_net = np.diff(np.concatenate([[0], np.cumsum(trades.column("sign") * qty)])[cut])
+    gross = np.diff(np.concatenate([[0], np.cumsum(qty)])[cut])
+    t = np.flatnonzero((mids[:-1] > 0) & (mids[1:] > 0))  # both ends need a mid
+    return Windows(t=t, start_ns=bounds[t], open_mid2x=mids[t], close_mid2x=mids[t + 1],
+                   q_net=q_net[t], gross=gross[t])
 
 
-def _horizon_windows(windows: list[Window], horizon_ns: int) -> int:
+def _horizon_windows(windows: Windows, horizon_ns: int) -> int:
     if len(windows) > 1:
-        window_ns = windows[1].start_ns - windows[0].start_ns
-        assert windows[1].t - windows[0].t == 1, "windows must be contiguous"
+        window_ns = int(windows.start_ns[1] - windows.start_ns[0])
+        assert windows.t[1] - windows.t[0] == 1, "windows must be contiguous"
     else:
         window_ns = WINDOW_NS
     return max(1, horizon_ns // window_ns)
 
 
 def rolling_volatility(
-    windows: list[Window], horizon_ns: int = HORIZON_NS, min_periods: int = 2,
+    windows: Windows, horizon_ns: int = HORIZON_NS, min_periods: int = 2,
 ) -> np.ndarray:
     """Trailing sample std of per-window mid change, excluding the current window.
 
@@ -179,7 +164,7 @@ def rolling_volatility(
     """
     h = _horizon_windows(windows, horizon_ns)
     min_periods = max(2, min_periods)
-    dp = np.asarray([w.dp for w in windows])
+    dp = windows.dp
     sigma = np.full(len(windows), np.nan)
     for i in range(len(windows)):
         lo = max(0, i - h)
@@ -189,7 +174,7 @@ def rolling_volatility(
 
 
 def weighted_volume(
-    windows: list[Window], horizon_ns: int = HORIZON_NS, min_periods: int = 1,
+    windows: Windows, horizon_ns: int = HORIZON_NS, min_periods: int = 1,
 ) -> np.ndarray:
     """Trailing linearly weighted mean of gross volume, newest window heaviest.
 
@@ -197,7 +182,7 @@ def weighted_volume(
     """
     h = _horizon_windows(windows, horizon_ns)
     min_periods = max(1, min_periods)
-    gross = np.asarray([w.gross for w in windows], dtype=float)
+    gross = windows.gross.astype(float)
     vol = np.full(len(windows), np.nan)
     for i in range(len(windows)):
         lo = max(0, i - h)
@@ -212,22 +197,18 @@ def weighted_volume(
 
 
 def adjust(
-    windows: list[Window], sigma: np.ndarray, volume: np.ndarray,
-) -> tuple[list[AdjustedSample], int]:
+    windows: Windows, sigma: np.ndarray, volume: np.ndarray,
+) -> tuple[Samples, int]:
     """Normalize windows into (q, y) samples; returns (samples, skipped count)."""
     if not len(windows) == len(sigma) == len(volume):
         raise ValueError("windows, sigma, and volume must align")
-    samples = []
-    skipped = 0
-    for i, w in enumerate(windows):
-        s, v = sigma[i], volume[i]
-        if not (np.isfinite(s) and s > 0 and np.isfinite(v) and v > 0):
-            skipped += 1
-            continue
-        prev_sign = int(np.sign(windows[i - 1].q_net)) if i > 0 else 0
-        samples.append(AdjustedSample(t=w.t, q=w.q_net / v, y=w.dp / s,
-                                      prev_sign=prev_sign, q_net=w.q_net))
-    return samples, skipped
+    usable = np.isfinite(sigma) & (sigma > 0) & np.isfinite(volume) & (volume > 0)
+    prev_sign = np.zeros_like(windows.q_net)
+    prev_sign[1:] = np.sign(windows.q_net[:-1])
+    samples = Samples(t=windows.t[usable], q=windows.q_net[usable] / volume[usable],
+                      y=windows.dp[usable] / sigma[usable], prev_sign=prev_sign[usable],
+                      q_net=windows.q_net[usable])
+    return samples, len(windows) - len(samples)
 
 
 # ------------------------------------------------------------------- fitting
@@ -245,7 +226,7 @@ def fit_scale(q: np.ndarray, y: np.ndarray, delta: float) -> tuple[float, float]
 
 
 def fit_delta(
-    samples: list[AdjustedSample],
+    samples: Samples,
     delta_range: tuple[float, float] = DELTA_RANGE,
     tol: float = 1e-4,
 ) -> DeltaFit:
@@ -257,8 +238,7 @@ def fit_delta(
     """
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples to fit delta, got {len(samples)}")
-    q = np.asarray([s.q for s in samples])
-    y = np.asarray([s.y for s in samples])
+    q, y = samples.q, samples.y
     if np.all(q == 0):
         raise ValueError("all net volumes are zero; delta is unidentifiable")
 
@@ -282,26 +262,21 @@ def fit_delta(
     return DeltaFit(delta=delta, k=k, sse=sse, n=len(samples))
 
 
-def _bucket_chunks(samples: list[AdjustedSample], n_buckets: int) -> list[np.ndarray]:
+def _bucket_chunks(q: np.ndarray, q_net: np.ndarray | None, n_buckets: int) -> list[np.ndarray]:
     """Sample indices of each bucket, ascending in q.
 
     Starts from the equal-count cuts of the q-sorted sample (stable order) and
     moves every cut that would separate two tied neighbours forward to the end
     of their run; cuts that collide merge, so fewer than n_buckets may result.
-    Neighbours tie when both carry the same raw net volume q_net, or, where
-    either lacks one, when their q are exactly equal.
+    Neighbours tie when they carry the same raw net volume q_net, or, without
+    q_net, when their q are exactly equal.
     """
     if n_buckets < 1:
         raise ValueError(f"need at least one bucket, got {n_buckets}")
-    n = len(samples)
-    q = np.asarray([s.q for s in samples])
-    q_net = np.asarray([math.nan if s.q_net is None else s.q_net for s in samples])
     order = np.argsort(q, kind="stable")
-    q, q_net = q[order], q_net[order]
-    known = ~np.isnan(q_net)
-    tied = np.where(known[1:] & known[:-1], q_net[1:] == q_net[:-1], q[1:] == q[:-1])
-    allowed = np.flatnonzero(~tied) + 1          # positions a cut may fall before
-    size, extra = divmod(n, n_buckets)
+    tie_key = (q if q_net is None else q_net)[order]
+    allowed = np.flatnonzero(tie_key[1:] != tie_key[:-1]) + 1  # positions a cut may fall before
+    size, extra = divmod(len(q), n_buckets)
     cuts = np.arange(1, n_buckets) * size + np.minimum(np.arange(1, n_buckets), extra)
     moved = np.searchsorted(allowed, cuts)
     return np.split(order, np.unique(allowed[moved[moved < allowed.size]]))
@@ -327,9 +302,7 @@ def _bucket_stats(
                        mean_y=np.asarray(my), count=np.asarray(cnt))
 
 
-def bucket_means(
-    samples: list[AdjustedSample], n_buckets: int = 20, delta: float | None = None,
-) -> BucketStats:
+def bucket_means(samples: Samples, n_buckets: int = 20, delta: float | None = None) -> BucketStats:
     """Quantile-bucket samples by q and report per-bucket mean (q, y).
 
     Returns at most n_buckets buckets. Cuts fall only between samples of
@@ -342,15 +315,14 @@ def bucket_means(
     """
     if len(samples) < n_buckets:
         raise ValueError(f"need >= {n_buckets} samples, got {len(samples)}")
-    q = np.asarray([s.q for s in samples])
-    y = np.asarray([s.y for s in samples])
+    q = samples.q
     key = q if delta is None else signed_power(q, delta)
-    return _bucket_stats(key, y, _bucket_chunks(samples, n_buckets),
+    return _bucket_stats(key, samples.y, _bucket_chunks(q, samples.q_net, n_buckets),
                          np.ones(len(samples), dtype=bool))
 
 
 def split_by_previous_sign(
-    samples: list[AdjustedSample], n_buckets: int = 20, delta: float | None = None,
+    samples: Samples, n_buckets: int = 20, delta: float | None = None,
 ) -> tuple[BucketStats, BucketStats]:
     """Bucket means conditioned on the previous window's net-volume sign.
 
@@ -359,56 +331,48 @@ def split_by_previous_sign(
     (after-net-buy, after-net-sell). Buckets empty for a group carry NaN means
     and zero count.
     """
-    kept = [s for s in samples if s.prev_sign != 0]
-    if not any(s.prev_sign > 0 for s in kept) or not any(s.prev_sign < 0 for s in kept):
+    kept = samples.prev_sign != 0
+    prev = samples.prev_sign[kept]
+    if not np.any(prev > 0) or not np.any(prev < 0):
         raise ValueError("need samples after both net-buy and net-sell windows")
-    if len(kept) < n_buckets:
-        raise ValueError(f"need >= {n_buckets} usable samples, got {len(kept)}")
-    q = np.asarray([s.q for s in kept])
-    y = np.asarray([s.y for s in kept])
-    prev = np.asarray([s.prev_sign for s in kept])
+    if prev.size < n_buckets:
+        raise ValueError(f"need >= {n_buckets} usable samples, got {prev.size}")
+    q = samples.q[kept]
+    q_net = None if samples.q_net is None else samples.q_net[kept]
     key = q if delta is None else signed_power(q, delta)
-    chunks = _bucket_chunks(kept, n_buckets)
+    chunks = _bucket_chunks(q, q_net, n_buckets)
+    y = samples.y[kept]
     return (_bucket_stats(key, y, chunks, prev == 1),
             _bucket_stats(key, y, chunks, prev == -1))
 
 
-def decay_regression(
-    samples: list[AdjustedSample], delta: float, max_lag: int = MAX_LAG,
-) -> DecayKernel:
+def decay_regression(samples: Samples, delta: float, max_lag: int = MAX_LAG) -> DecayKernel:
     """No-intercept OLS of y_t on sgn(q)|q|**delta at lags 0..max_lag.
 
     Rows are the sample times whose full lag window is usable; requires at
     least 9 * max_lag such rows (ten lag horizons of consecutive samples).
     Solved by normal equations with a condition-number guard.
     """
-    by_t = {s.t: s for s in samples}
-    if not by_t:
+    if not len(samples):
         raise ValueError("no usable samples")
-    t_min = min(by_t)
-    t_max = max(by_t)
-    span = t_max - t_min + 1
+    pos = samples.t - samples.t.min()
+    span = int(pos.max()) + 1
     present = np.zeros(span, dtype=bool)
     x_all = np.zeros(span)
     y_all = np.zeros(span)
-    for s in samples:
-        i = s.t - t_min
-        present[i] = True
-        x_all[i] = math.copysign(abs(s.q) ** delta, s.q)
-        y_all[i] = s.y
+    present[pos] = True
+    x_all[pos] = signed_power(samples.q, delta)
+    y_all[pos] = samples.y
 
-    run = 0
-    rows = []
-    for i in range(span):
-        run = run + 1 if present[i] else 0
-        if run >= max_lag + 1:
-            rows.append(i)
+    # a row needs its own position and the max_lag before it all present
+    window = max_lag + 1
+    filled = np.concatenate([[0], np.cumsum(present)])
+    rows = np.flatnonzero(filled[window:] - filled[:-window] == window) + max_lag
     n_rows = len(rows)
     if n_rows < 9 * max_lag:
         raise ValueError(
             f"need >= {9 * max_lag} usable consecutive rows for K={max_lag}, got {n_rows}")
 
-    rows = np.asarray(rows)
     lags = np.arange(max_lag + 1)
     design = x_all[rows[:, None] - lags[None, :]]
     target = y_all[rows]

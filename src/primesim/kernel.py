@@ -67,6 +67,20 @@ class _ColumnLog(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
+    @classmethod
+    def from_columns(cls, **columns: array):
+        """A log over whole ``array('q')`` columns of equal length, taken as they are."""
+        if set(columns) != set(cls._columns) or len({len(c) for c in columns.values()}) > 1:
+            raise ValueError(f"need equal-length columns {cls._columns}")
+        log = cls()
+        for name, column in columns.items():
+            setattr(log, name, column)
+        return log
+
+    def column(self, name: str) -> np.ndarray:
+        """One column as an int64 numpy view of the log's own memory (no copy)."""
+        return np.frombuffer(getattr(self, name), dtype=np.int64)
+
 
 class TradeTape(_ColumnLog):
     """The trade tape as columns; rows read back as equal ``Trade`` values.
@@ -119,6 +133,14 @@ class QuoteLog(_ColumnLog):
     def extend(self, rows: Iterable[tuple[int, int | None, int | None]]) -> None:
         for ts, bid, ask in rows:
             self.append(ts, bid, ask)
+
+    def mid2x_at(self, times) -> np.ndarray:
+        """``mid2x`` of the last row at or before each time; 0 where there is no mid yet.
+
+        Rows must be sorted by ``ts``.
+        """
+        rows = np.searchsorted(self.column("ts"), times, side="right")
+        return np.concatenate(([0], self.column("mid2x")))[rows]
 
 
 def agent_stream(master_seed: int, agent_id: int) -> np.random.Generator:

@@ -11,14 +11,15 @@ import shutil
 import tempfile
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 
 from . import tradeio
 from .agents import DarpMarketAgent, PrimeMarketAgent, TechnicalAgent, ZiLimitAgent, ZiMarketAgent
 from .book import OrderBook
 from .config import GROUPS, RunConfig, dump_config, load_config
-from .errors import ConfigError, DataError
-from .kernel import RunStats, Simulation, agent_stream, oracle_stream
+from .errors import ConfigError, DataError, NumericalError
+from .kernel import QuoteLog, RunStats, Simulation, TradeTape, agent_stream, oracle_stream
 from .oracle import make_series
 from .rng import BatchedRng
 
@@ -75,14 +76,16 @@ def build_simulation(config: RunConfig) -> Simulation:
 def run_simulation(config: RunConfig, out_dir: str | Path) -> RunResult:
     """Execute the configured session and write all artifacts.
 
-    Outputs land in a temporary directory that is renamed onto out_dir on
-    success, so a failed run leaves nothing behind.
+    The session must end with quantity conserved and the book uncrossed
+    (NumericalError otherwise). Outputs land in a temporary directory that is
+    renamed onto out_dir on success, so a failed run leaves nothing behind.
     """
     out_dir = Path(out_dir)
     if out_dir.exists():
         raise ConfigError(f"output directory {out_dir} already exists")
     sim = build_simulation(config)
     stats = sim.run_until(config.session_ns)
+    _check_session_end(sim.book)
 
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp-", dir=out_dir.parent))
@@ -93,6 +96,16 @@ def run_simulation(config: RunConfig, out_dir: str | Path) -> RunResult:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     return RunResult(out_dir=out_dir, stats=stats)
+
+
+def _check_session_end(book: OrderBook) -> None:
+    """Quantity is conserved and the book is not crossed, or NumericalError."""
+    accounted = 2 * book.traded_qty + book.cancelled_qty + book.discarded_qty + book.resting_qty()
+    if book.submitted_qty != accounted:
+        raise NumericalError(f"quantity not conserved at session end: submitted "
+                             f"{book.submitted_qty}, accounted for {accounted}")
+    if book.crossed:
+        raise NumericalError(f"book crossed at session end: {book.best_bid} >= {book.best_ask}")
 
 
 def _write_artifacts(dest: Path, config: RunConfig, sim: Simulation, stats: RunStats) -> None:
@@ -116,8 +129,8 @@ def _write_artifacts(dest: Path, config: RunConfig, sim: Simulation, stats: RunS
     })
 
 
-def load_run(run_dir: str | Path) -> tuple[list[tradeio.TradeRecord], list[tradeio.QuoteRecord]]:
-    """Trade and quote records from a run directory (or equivalent layout)."""
+def load_run(run_dir: str | Path) -> tuple[TradeTape, QuoteLog]:
+    """The trade tape and quote log of a run directory (or equivalent layout)."""
     run_dir = Path(run_dir)
     trades_path = run_dir / TRADES_FILE
     l1_path = run_dir / L1_FILE
@@ -127,8 +140,12 @@ def load_run(run_dir: str | Path) -> tuple[list[tradeio.TradeRecord], list[trade
     return dump.records, tradeio.read_l1(l1_path)
 
 
-def replay(run_dir: str | Path) -> bool:
-    """Re-run a recorded config and compare artifacts byte for byte."""
+def replay(run_dir: str | Path) -> str | None:
+    """Re-run a recorded config and compare artifacts byte for byte.
+
+    Returns None when every artifact is identical, else where the first one
+    differs as ``<file>:<line>`` (1-based, the header is line 1).
+    """
     run_dir = Path(run_dir)
     config_path = run_dir / CONFIG_FILE
     if not config_path.exists():
@@ -137,8 +154,10 @@ def replay(run_dir: str | Path) -> bool:
     with tempfile.TemporaryDirectory(prefix="replay-") as scratch:
         fresh = Path(scratch) / "rerun"
         run_simulation(config, fresh)
-        identical = True
         for name in (TRADES_FILE, L1_FILE, SUMMARY_FILE):
-            if (fresh / name).read_bytes() != (run_dir / name).read_bytes():
-                identical = False
-    return identical
+            new, old = (fresh / name).read_bytes(), (run_dir / name).read_bytes()
+            if new != old:
+                pairs = zip_longest(new.splitlines(keepends=True), old.splitlines(keepends=True))
+                line = next(i for i, (a, b) in enumerate(pairs, start=1) if a != b)
+                return f"{name}:{line}"
+    return None

@@ -4,14 +4,17 @@ Trade tape: ``ts,price,qty,aggressor[,taker_agent]`` with ns timestamps,
 integer tick prices, unit quantities, and B/S aggressor flags. Level-1 log:
 ``ts,best_bid,best_ask`` with empty fields for absent sides. Real exchange
 dumps use the same four trade columns, so both feed the same estimators.
+The readers fill the simulator's own column types, ``TradeTape`` and
+``QuoteLog``, so files and in-memory runs reach the estimators alike.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -22,37 +25,31 @@ from .kernel import QuoteLog, TradeTape
 TRADE_HEADER = ["ts", "price", "qty", "aggressor", "taker_agent"]
 L1_HEADER = ["ts", "best_bid", "best_ask"]
 
-
-class TradeRecord(NamedTuple):
-    ts: int
-    price: int
-    qty: int
-    sign: int  # +1 buy aggressor, -1 sell aggressor
-
-
-class QuoteRecord(NamedTuple):
-    ts: int
-    bid: int | None
-    ask: int | None
+_SIGNS = {"B": 1, "S": -1}
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
 class TradeDump:
-    """Parsed trade file: time-sorted records plus the malformed-row count."""
+    """Parsed trade file: the time-sorted tape plus the malformed-row count.
+
+    A file carries no maker order ids and its taker ids are not read, so both
+    of those columns of ``records`` hold -1.
+    """
 
     path: Path
-    records: list[TradeRecord]
+    records: TradeTape
     n_malformed: int
 
 
 def read_trades(path: str | Path) -> TradeDump:
-    """Load and validate a trade CSV; sorts stably by timestamp.
+    """Load and validate a trade CSV into tape columns; sorts stably by timestamp.
 
     Rows that fail to parse are counted and skipped; more than 1% malformed
     rows (or a bad header) is a hard error.
     """
     path = Path(path)
-    records: list[TradeRecord] = []
+    ts, price, qty, sign = array("q"), array("q"), array("q"), array("q")
     malformed = 0
     try:
         with path.open(newline="") as fh:
@@ -65,25 +62,37 @@ def read_trades(path: str | Path) -> TradeDump:
                 if not row:
                     continue
                 try:
-                    ts, price, qty = int(row[0]), int(row[1]), int(row[2])
-                    sign = {"B": 1, "S": -1}[row[3].strip()]
-                    if price < 1 or qty < 1:
+                    t, p, q = int(row[0]), int(row[1]), int(row[2])
+                    s = _SIGNS[row[3].strip()]
+                    if p < 1 or q < 1 or max(abs(t), p, q) > _INT64_MAX:
                         raise ValueError
-                    records.append(TradeRecord(ts=ts, price=price, qty=qty, sign=sign))
                 except (ValueError, KeyError, IndexError):
                     malformed += 1
+                    continue
+                ts.append(t)
+                price.append(p)
+                qty.append(q)
+                sign.append(s)
     except OSError as exc:
         raise DataError(f"cannot read trade file {path}: {exc}") from exc
-    total = len(records) + malformed
+    total = len(ts) + malformed
     if total and malformed > 0.01 * total:
         raise DataError(f"{path}: {malformed} of {total} rows malformed (>1%)")
-    records.sort(key=lambda r: r.ts)
-    return TradeDump(path=path, records=records, n_malformed=malformed)
+    columns = {"ts": ts, "price": price, "qty": qty, "sign": sign}
+    ts_view = np.frombuffer(ts, dtype=np.int64)
+    if np.any(ts_view[1:] < ts_view[:-1]):
+        order = np.argsort(ts_view, kind="stable")
+        columns = {name: array("q", np.frombuffer(c, dtype=np.int64)[order].tobytes())
+                   for name, c in columns.items()}
+    unknown = array("q", [-1]) * len(ts)
+    tape = TradeTape.from_columns(**columns, maker_order=unknown, taker_agent=array("q", unknown))
+    return TradeDump(path=path, records=tape, n_malformed=malformed)
 
 
-def read_l1(path: str | Path) -> list[QuoteRecord]:
+def read_l1(path: str | Path) -> QuoteLog:
+    """Load an L1 CSV into a quote log; an empty field is an absent side."""
     path = Path(path)
-    quotes: list[QuoteRecord] = []
+    quotes = QuoteLog()
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -96,8 +105,10 @@ def read_l1(path: str | Path) -> list[QuoteRecord]:
                 try:
                     bid = int(row[1]) if row[1] != "" else None
                     ask = int(row[2]) if row[2] != "" else None
-                    quotes.append(QuoteRecord(ts=int(row[0]), bid=bid, ask=ask))
-                except (ValueError, IndexError) as exc:
+                    if any(p is not None and p < 1 for p in (bid, ask)):
+                        raise ValueError("quote prices are positive ticks")
+                    quotes.append(int(row[0]), bid, ask)
+                except (ValueError, IndexError, OverflowError) as exc:
                     raise DataError(f"{path}:{lineno}: malformed quote row {row!r}") from exc
     except OSError as exc:
         raise DataError(f"cannot read L1 file {path}: {exc}") from exc
@@ -132,17 +143,6 @@ def write_l1(path: str | Path, rows: Iterable[tuple[int, int | None, int | None]
         writer.writerow(L1_HEADER)
         writer.writerows(zip(rows.ts, map(_blank_if_zero, rows.bid),
                              map(_blank_if_zero, rows.ask)))
-
-
-def trade_signs(records: list[TradeRecord]) -> np.ndarray:
-    return np.asarray([r.sign for r in records], dtype=np.int8)
-
-
-def records_from_tape(trades: Iterable[Trade]) -> list[TradeRecord]:
-    """Analysis records straight from in-memory simulator trades."""
-    if not isinstance(trades, TradeTape):
-        trades = TradeTape(trades)
-    return list(map(TradeRecord, trades.ts, trades.price, trades.qty, trades.sign))
 
 
 def write_summary(path: str | Path, fields: dict[str, object]) -> None:

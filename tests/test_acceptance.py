@@ -17,7 +17,7 @@ from primesim.calibrate import tune_darp
 from primesim.config import ConstantOracle, ZiMarketGroup, load_preset, loads_config
 from primesim.darp import DarpParams, generate_signs
 from primesim.impact import (
-    AdjustedSample,
+    Samples,
     adjust,
     bucket_means,
     decay_regression,
@@ -32,7 +32,6 @@ from primesim.impact import (
 from primesim.oracle import true_price_at
 from primesim.runner import build_simulation, run_simulation
 from primesim.analysis import mid_series_at, time_averaged_mid
-from primesim.tradeio import QuoteRecord, records_from_tape, trade_signs
 
 from reference import ReferenceBook
 
@@ -62,9 +61,7 @@ def santa_fe_session():
     config = loads_config(SANTA_FE_2H)
     sim = build_simulation(config)
     sim.run_until(config.session_ns)
-    quotes = [QuoteRecord(*q) for q in sim.quotes]
-    trades = records_from_tape(sim.trades)
-    windows = resample(trades, quotes, window_ns=1 * NS)
+    windows = resample(sim.trades, sim.quotes, window_ns=1 * NS)
     sigma = rolling_volatility(windows, min_periods=60)
     volume = weighted_volume(windows, min_periods=60)
     samples, _ = adjust(windows, sigma, volume)
@@ -121,12 +118,11 @@ class TestCriterion02DeltaRecovery:
         n = 50_000
         q = rng.uniform(-2.0, 2.0, size=n)
         clean = signed_power(q, 0.59)
-        noiseless = [AdjustedSample(t=i, q=float(q[i]), y=float(clean[i]), prev_sign=0)
-                     for i in range(n)]
+        t, prev = np.arange(n), np.zeros(n, dtype=int)
+        noiseless = Samples(t=t, q=q, y=clean, prev_sign=prev)
         fit_clean = fit_delta(noiseless)
         noisy_y = clean + rng.normal(0.0, 0.1 * clean.std(), size=n)
-        noisy = [AdjustedSample(t=i, q=float(q[i]), y=float(noisy_y[i]), prev_sign=0)
-                 for i in range(n)]
+        noisy = Samples(t=t, q=q, y=noisy_y, prev_sign=prev)
         fit_noisy = fit_delta(noisy)
         elapsed = time.perf_counter() - t0
         ok = (abs(fit_clean.delta - 0.59) < 0.01
@@ -151,8 +147,7 @@ class TestCriterion03KernelRecovery:
         for lag, coef in enumerate(true_kernel):
             if coef != 0.0:
                 y[lag:] += coef * x[: n - lag]
-        samples = [AdjustedSample(t=i, q=float(q[i]), y=float(y[i]), prev_sign=0)
-                   for i in range(n)]
+        samples = Samples(t=np.arange(n), q=q, y=y, prev_sign=np.zeros(n, dtype=int))
         kernel = decay_regression(samples, delta=0.59, max_lag=100)
         err = np.max(np.abs(kernel.beta - true_kernel))
         elapsed = time.perf_counter() - t0
@@ -278,8 +273,7 @@ class TestCriterion08PrimeMeanReversion:
                         seed=seed, session_ns=session)
                     sim = build_simulation(config)
                     sim.run_until(session)
-                    quotes = [QuoteRecord(*q) for q in sim.quotes]
-                    q4 = time_averaged_mid(quotes, 3 * session // 4, session)
+                    q4 = time_averaged_mid(sim.quotes, 3 * session // 4, session)
                     if abs(q4 - 1000) >= abs(displacement):
                         failures.append((displacement, eps, seed, q4))
         ok = not failures
@@ -300,9 +294,8 @@ class TestCriterion09PrimeTracking:
                 config = _prime_config(noise=eps, seed=seed, session_ns=3600 * NS)
                 sim = build_simulation(config)
                 sim.run_until(config.session_ns)
-                quotes = [QuoteRecord(*q) for q in sim.quotes]
                 grid = np.arange(1, 721) * 5 * NS
-                mids = mid_series_at(quotes, grid)
+                mids = mid_series_at(sim.quotes, grid)
                 oracle_vals = np.asarray(
                     [true_price_at(sim.series, int(t)) for t in grid], dtype=float)
                 rmse = float(np.sqrt(np.nanmean((mids - oracle_vals) ** 2)))
@@ -329,8 +322,7 @@ class TestCriterion10TechnicalAgents:
             config = replace(config, trend=trend, mean_revert=mean_revert)
             sim = build_simulation(config)
             sim.run_until(session)
-            signs = trade_signs(records_from_tape(sim.trades))
-            return float(order_sign_acf(signs, max_lag=1)[0])
+            return float(order_sign_acf(sim.trades.column("sign"), max_lag=1)[0])
 
         trend_group = TechnicalGroup(count=10, wake_rate=1.0, lookback_ns=30 * NS,
                                      threshold=0, size=1)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from primesim.book import SEEDER_AGENT, LimitOrder, OrderBook, Side
 
@@ -351,3 +354,83 @@ class TestInvariants:
         book.submit_limit(lo(1, 0, Side.ASK, 105, 2))
         trades = book.submit_limit(lo(2, 1, Side.BID, 110, 2))
         assert all(t.price == 105 for t in trades)
+
+
+AGENTS = st.integers(0, 3)
+SIDES = st.sampled_from([Side.BID, Side.ASK])
+PRICES = st.integers(95, 105)
+QTYS = st.integers(1, 6)
+
+
+class BookVersusReference(RuleBasedStateMachine):
+    """OrderBook and the naive ReferenceBook fed one sequence of operations.
+
+    Limit, market and cancel operations (live, already retired and never
+    issued ids) plus limits priced through the submitter's own resting orders;
+    after every step both books hold the same orders, counters and tape, and
+    the production book is not crossed.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.book = OrderBook()
+        self.ref = ReferenceBook()
+        self.book_tape, self.ref_tape = [], []
+        self.issued = []
+        self.ts = 0
+
+    def _limit(self, agent, side, price, qty):
+        self.ts += 1
+        oid = self.book.new_order_id()
+        self.book_tape += self.book.submit_limit(lo(oid, agent, side, price, qty, self.ts))
+        self.ref_tape += self.ref.submit_limit(oid, agent, side, price, qty, self.ts)
+        self.issued.append(oid)
+
+    @rule(agent=AGENTS, side=SIDES, price=PRICES, qty=QTYS)
+    def limit(self, agent, side, price, qty):
+        self._limit(agent, side, price, qty)
+
+    @rule(agent=AGENTS, side=SIDES, qty=st.integers(1, 15))
+    def market(self, agent, side, qty):
+        self.ts += 1
+        result = self.book.submit_market(agent, side, qty, self.ts)
+        self.book_tape += result.trades
+        self.ref_tape += self.ref.submit_market(agent, side, qty, self.ts)
+        assert result.remainder == qty - sum(t.qty for t in result.trades)
+
+    @precondition(lambda self: self.issued)
+    @rule(data=st.data())
+    def cancel_issued(self, data):
+        oid = data.draw(st.sampled_from(self.issued), label="order id")
+        got, want = self.book.cancel(oid), self.ref.cancel(oid)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.id, got.agent, got.qty) == (want["id"], want["agent"], want["qty"])
+
+    @rule(oid=st.integers(-3, 10**6))
+    def cancel_unissued(self, oid):
+        if oid not in self.issued:
+            assert self.book.cancel(oid) is None and self.ref.cancel(oid) is None
+
+    @precondition(lambda self: self.ref.resting)
+    @rule(data=st.data(), qty=QTYS, through=st.integers(0, 3))
+    def self_cross(self, data, qty, through):
+        """A limit from a resting order's owner priced at or through that order."""
+        own = data.draw(st.sampled_from(self.ref.resting), label="own order")
+        side = own["side"].opposite
+        price = own["price"] + (through if side is Side.BID else -through)
+        self._limit(own["agent"], side, max(price, 1), qty)
+
+    @invariant()
+    def books_agree(self):
+        assert self.book_tape == self.ref_tape
+        assert self.book.dump() == self.ref.dump()
+        assert not self.book.crossed
+        assert (self.book.best_bid, self.book.best_ask) == self.ref.l1()
+        for counter in ("submitted_qty", "traded_qty", "cancelled_qty", "discarded_qty"):
+            assert getattr(self.book, counter) == getattr(self.ref, counter), counter
+
+
+TestBookVersusReference = BookVersusReference.TestCase
+TestBookVersusReference.settings = settings(max_examples=150, stateful_step_count=60,
+                                            deadline=None, derandomize=True, database=None)

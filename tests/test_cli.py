@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, outputs, and exit-code contract."""
 
+import shutil
+
 import pytest
 
-from primesim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, cli
+from primesim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, cli
 
 CONFIG = """
 seed: 11
@@ -58,6 +60,12 @@ class TestSimulate:
     def test_bad_override_exit_code(self, tmp_path, flag, value):
         out = tmp_path / "x"
         assert cli(["simulate", "santa-fe", flag, value, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_sub_nanosecond_session_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert cli(["simulate", "santa-fe", "--session", "2.5ns", "--out", str(out)]) == EXIT_CONFIG
+        assert "whole number of nanoseconds" in capsys.readouterr().err
         assert not out.exists()
 
     def test_preset_with_overrides(self, tmp_path):
@@ -134,6 +142,17 @@ class TestTuneDar:
 class TestReplay:
     def test_replay_round_trip(self, run_dir):
         assert cli(["replay", str(run_dir)]) == EXIT_OK
+
+    def test_replay_mismatch_names_first_differing_line(self, run_dir, tmp_path, capsys):
+        copy = tmp_path / "edited"
+        shutil.copytree(run_dir, copy)
+        lines = (copy / "l1.csv").read_bytes().splitlines(keepends=True)
+        assert len(lines) > 2000
+        ts, rest = lines[1233].split(b",", 1)
+        lines[1233] = b"%d," % (int(ts) + 1) + rest  # line 1234: the header is line 1
+        (copy / "l1.csv").write_bytes(b"".join(lines))
+        assert cli(["replay", str(copy)]) == EXIT_NUMERICAL
+        assert "first difference at l1.csv:1234" in capsys.readouterr().err
 
     def test_replay_missing_dir(self, tmp_path):
         assert cli(["replay", str(tmp_path / "nope")]) == EXIT_DATA

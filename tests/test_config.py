@@ -89,6 +89,16 @@ class TestDurations:
         with pytest.raises(ConfigError):
             parse_duration(bad)
 
+    @pytest.mark.parametrize("text,ns", [("1.5us", 1500), ("0.25s", 250_000_000),
+                                         ("1.000000001s", 1_000_000_001), ("2.0ns", 2)])
+    def test_fractions_of_whole_nanoseconds(self, text, ns):
+        assert parse_duration(text) == ns
+
+    @pytest.mark.parametrize("bad", ["2.5ns", "1.5ns", "1.0000000001s", "0.0005us"])
+    def test_sub_nanosecond_rejected(self, bad):
+        with pytest.raises(ConfigError, match="whole number of nanoseconds"):
+            parse_duration(bad)
+
     def test_format_round_trip(self):
         for ns in (5 * 10**9, 7200 * 10**9, 1500, 10**6):
             assert parse_duration(format_duration(ns)) == ns

@@ -148,3 +148,30 @@ agents:
 @pytest.mark.parametrize("preset", sorted(PRESET_DUMPS))
 def test_preset_dump_is_byte_identical(preset):
     assert dump_config(load_preset(preset)) == PRESET_DUMPS[preset]
+
+
+# SHA-256 of every CSV that `analyze impact`, `analyze decay` (both at
+# --window 100ms --horizon 1m) and `analyze acf` write for the 5 min prime run
+# above: the whole analysis path, CSV reader to CSV writers.
+ANALYSIS_PINNED = {
+    "windows.csv": "788870798ac262c048444739a3391668a6abb1ab6a63ddf1a1c84ae7c3c9051b",
+    "samples.csv": "ed328126b9a6e525292d1a57fcc10df2b92a6018a92c418cd0f612ce9fe04208",
+    "buckets.csv": "d7d977e91234ed3713ea3e27ecc3cac5da565a858e997a3500ac68be2eed8a33",
+    "buckets_by_prev_sign.csv":
+        "b57429c0f115f76bcdd03b19dd85194d166b397f325bff47920211266c28fba6",
+    "delta_fit.csv": "d1b6b950f482ca177defcd819f06fe134787cdfed3a3ae26cd7e7cb2feee8f74",
+    "kernel.csv": "ed7e6dbd937c353a2bba2005bf2fd9bfa369df357d355b2b12ff7e45859acbd8",
+    "acf.csv": "10deec929d39408acee934bb567b666b36aa979ce79dbc13053d9381c8e9b312",
+    "acf_powerlaw.csv": "d5a130ef59e737ef6a86ece0091f618fc1aa76117333780c5f7948bb405b4ed9",
+}
+
+
+def test_analysis_of_five_minute_run_matches_pinned_digests(tmp_path):
+    run, out = tmp_path / "run", tmp_path / "analysis"
+    assert cli(["simulate", "prime", "--session", "5m", "--seed", "1", "--out", str(run)]) == 0
+    window = ["--window", "100ms", "--horizon", "1m"]
+    assert cli(["analyze", "impact", str(run), *window, "--out", str(out)]) == 0
+    assert cli(["analyze", "decay", str(run), *window, "--out", str(out)]) == 0
+    assert cli(["analyze", "acf", str(run), "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ANALYSIS_PINNED}
+    assert got == ANALYSIS_PINNED

@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from primesim.analysis import impact_report
+from primesim.analysis import impact_report, mid_series_at, time_averaged_mid
+from primesim.book import Side, Trade
 from primesim.config import load_preset
 from primesim.errors import NumericalError
 from primesim.impact import (
-    AdjustedSample,
-    Window,
+    Samples,
+    Windows,
     adjust,
     bucket_means,
     decay_regression,
@@ -25,8 +26,8 @@ from primesim.impact import (
     split_by_previous_sign,
     weighted_volume,
 )
+from primesim.kernel import QuoteLog, TradeTape
 from primesim.runner import build_simulation
-from primesim.tradeio import QuoteRecord, TradeRecord, records_from_tape
 
 NS = 10**9
 W5 = 5 * NS
@@ -35,24 +36,38 @@ W5 = 5 * NS
 def make_windows(dp_half_ticks, gross=None, q_net=None):
     """Windows with close-open mid2x equal to the given half-tick increments."""
     n = len(dp_half_ticks)
-    gross = gross if gross is not None else [10] * n
-    q_net = q_net if q_net is not None else [0] * n
-    windows = []
-    mid = 2000
-    for i, d in enumerate(dp_half_ticks):
-        windows.append(Window(t=i, start_ns=i * W5, open_mid2x=mid, close_mid2x=mid + d,
-                              q_net=q_net[i], gross=gross[i]))
-        mid += d
-    return windows
+    close = 2000 + np.cumsum(np.asarray(dp_half_ticks, dtype=np.int64))
+    return Windows(t=np.arange(n), start_ns=np.arange(n) * W5,
+                   open_mid2x=np.concatenate([[2000], close[:-1]]), close_mid2x=close,
+                   q_net=np.asarray(q_net if q_net is not None else [0] * n),
+                   gross=np.asarray(gross if gross is not None else [10] * n))
+
+
+def make_samples(q, y, prev_sign=None, q_net=None, t=None):
+    """Samples at consecutive window indices unless t is given."""
+    n = len(q)
+    return Samples(t=np.arange(n) if t is None else np.asarray(t),
+                   q=np.asarray(q, dtype=float), y=np.asarray(y, dtype=float),
+                   prev_sign=np.zeros(n, dtype=np.int64) if prev_sign is None
+                   else np.asarray(prev_sign),
+                   q_net=None if q_net is None else np.asarray(q_net))
+
+
+def make_tape(rows):
+    """A trade tape from (ts, price, qty, sign) rows."""
+    return TradeTape(Trade(ts=ts, price=price, qty=qty, maker_order=0, taker_agent=0,
+                           aggressor=Side.BID if sign > 0 else Side.ASK)
+                     for ts, price, qty, sign in rows)
 
 
 # ---------------------------------------------------------------- resampling
 
 
 def reference_resample(trades, quotes, window_ns):
-    """Independent scalar accumulator: walk the tape window by window."""
-    mid_changes = [(q.ts, q.bid + q.ask) for q in quotes if q.bid is not None and q.ask is not None]
-    all_ts = [q.ts for q in quotes] + [t.ts for t in trades]
+    """Independent scalar accumulator over (ts, price, qty, sign) and (ts, bid, ask) rows."""
+    mid_changes = [(ts, bid + ask) for ts, bid, ask in quotes
+                   if bid is not None and ask is not None]
+    all_ts = [q[0] for q in quotes] + [t[0] for t in trades]
     t0, t1 = min(all_ts), max(all_ts)
     out = []
     k = 0
@@ -66,72 +81,155 @@ def reference_resample(trades, quotes, window_ns):
             if ts <= hi:
                 close_mid = m
         q_net = gross = 0
-        for tr in trades:
-            if lo <= tr.ts < hi:
-                q_net += tr.sign * tr.qty
-                gross += tr.qty
+        for ts, _, qty, sign in trades:
+            if lo <= ts < hi:
+                q_net += sign * qty
+                gross += qty
         if open_mid is not None and close_mid is not None:
             out.append((k, lo, open_mid, close_mid, q_net, gross))
         k += 1
     return out
 
 
+def random_trades(rng):
+    trades = []
+    t = 0
+    for _ in range(800):
+        t += int(rng.integers(1, int(0.3 * NS)))
+        trades.append((t, 100, int(rng.integers(1, 20)), 1 if rng.random() < 0.5 else -1))
+    return trades
+
+
+def window_rows(windows):
+    return list(zip(windows.t.tolist(), windows.start_ns.tolist(), windows.open_mid2x.tolist(),
+                    windows.close_mid2x.tolist(), windows.q_net.tolist(), windows.gross.tolist()))
+
+
 class TestResample:
     def test_net_volume_example(self):
-        quotes = [QuoteRecord(0, 99, 101), QuoteRecord(W5, 100, 102)]
-        trades = [TradeRecord(1 * NS, 100, 200, 1), TradeRecord(2 * NS, 100, 500, -1)]
+        quotes = QuoteLog([(0, 99, 101), (W5, 100, 102)])
+        trades = make_tape([(1 * NS, 100, 200, 1), (2 * NS, 100, 500, -1)])
         windows = resample(trades, quotes)
         assert len(windows) == 1
-        w = windows[0]
-        assert w.q_net == -300
-        assert w.gross == 700
-        assert w.dp == 1.0  # (202 - 200) / 2
+        assert windows.q_net[0] == -300
+        assert windows.gross[0] == 700
+        assert windows.dp[0] == 1.0  # (202 - 200) / 2
 
     def test_quiet_window_carries_mid(self):
-        quotes = [QuoteRecord(0, 99, 101), QuoteRecord(1 * NS, 100, 102)]
-        trades = [TradeRecord(11 * NS, 100, 3, 1)]  # extends the session span
+        quotes = QuoteLog([(0, 99, 101), (1 * NS, 100, 102)])
+        trades = make_tape([(11 * NS, 100, 3, 1)])  # extends the session span
         windows = resample(trades, quotes, W5)
-        assert [w.t for w in windows] == [0, 1]
-        assert windows[0].open_mid2x == 200 and windows[0].close_mid2x == 202
+        assert list(windows.t) == [0, 1]
+        assert windows.open_mid2x[0] == 200 and windows.close_mid2x[0] == 202
         # no quote inside the second window: mid carried forward
-        assert windows[1].open_mid2x == 202 and windows[1].close_mid2x == 202
-        assert windows[1].q_net == 0 and windows[1].gross == 0
+        assert windows.open_mid2x[1] == 202 and windows.close_mid2x[1] == 202
+        assert windows.q_net[1] == 0 and windows.gross[1] == 0
 
     def test_windows_before_first_quote_dropped(self):
-        quotes = [QuoteRecord(7 * NS, 99, 101), QuoteRecord(15 * NS, 100, 102)]
-        trades = [TradeRecord(0, 100, 5, 1)]
+        quotes = QuoteLog([(7 * NS, 99, 101), (15 * NS, 100, 102)])
+        trades = make_tape([(0, 100, 5, 1)])
         windows = resample(trades, quotes, W5)
-        assert [w.t for w in windows] == [2]  # first two windows have no mid
+        assert list(windows.t) == [2]  # first two windows have no mid
+
+    def test_one_sided_quotes_carry_the_last_mid(self):
+        quotes = QuoteLog([(0, None, 101), (2 * NS, 99, None), (6 * NS, 99, 101),
+                           (11 * NS, None, 103), (14 * NS, 100, 104), (15 * NS, 100, None),
+                           (21 * NS, None, 105)])
+        windows = resample(TradeTape(), quotes, W5)
+        assert list(windows.t) == [2, 3]  # no two-sided quote by 5 s
+        assert list(windows.open_mid2x) == [200, 204]
+        assert list(windows.close_mid2x) == [204, 204]
 
     def test_random_tape_matches_reference(self):
         rng = np.random.default_rng(0)
-        quotes = [QuoteRecord(0, 100, 102)]
+        quotes = [(0, 100, 102)]
         t = 0
         for _ in range(300):
             t += int(rng.integers(1, int(0.6 * NS)))
             bid = int(rng.integers(95, 105))
-            quotes.append(QuoteRecord(t, bid, bid + int(rng.integers(1, 4))))
-        trades = []
+            quotes.append((t, bid, bid + int(rng.integers(1, 4))))
+        trades = random_trades(rng)
+        windows = resample(make_tape(trades), QuoteLog(quotes), W5)
+        assert window_rows(windows) == reference_resample(trades, quotes, W5)
+
+    def test_random_one_sided_tape_matches_reference(self):
+        rng = np.random.default_rng(1)
+        quotes = [(0, None, None)]
         t = 0
-        for _ in range(800):
-            t += int(rng.integers(1, int(0.3 * NS)))
-            trades.append(TradeRecord(t, 100, int(rng.integers(1, 20)),
-                                      1 if rng.random() < 0.5 else -1))
-        windows = resample(trades, quotes, W5)
-        expected = reference_resample(trades, quotes, W5)
-        got = [(w.t, w.start_ns, w.open_mid2x, w.close_mid2x, w.q_net, w.gross) for w in windows]
-        assert got == expected
+        for _ in range(300):
+            t += int(rng.integers(0, int(0.6 * NS)))  # equal timestamps too
+            bid = int(rng.integers(95, 105))
+            ask = bid + int(rng.integers(1, 4))
+            roll = rng.random()
+            quotes.append((t, None if roll < 0.2 else bid, None if 0.2 <= roll < 0.4 else ask))
+        trades = random_trades(rng)
+        windows = resample(make_tape(trades), QuoteLog(quotes), W5)
+        assert window_rows(windows) == reference_resample(trades, quotes, W5)
 
     def test_unsorted_trades_rejected(self):
-        quotes = [QuoteRecord(0, 99, 101), QuoteRecord(20 * NS, 99, 101)]
-        trades = [TradeRecord(5 * NS, 100, 1, 1), TradeRecord(1 * NS, 100, 1, 1)]
+        quotes = QuoteLog([(0, 99, 101), (20 * NS, 99, 101)])
+        trades = make_tape([(5 * NS, 100, 1, 1), (1 * NS, 100, 1, 1)])
         with pytest.raises(ValueError, match="sorted"):
             resample(trades, quotes)
 
+    def test_unsorted_quotes_rejected(self):
+        quotes = QuoteLog([(0, 99, 101), (20 * NS, 99, 101), (10 * NS, 98, 101)])
+        with pytest.raises(ValueError, match="quotes must be time-sorted"):
+            resample(TradeTape(), quotes)
+
+    def test_no_quotes_rejected(self):
+        with pytest.raises(ValueError, match="no quotes"):
+            resample(make_tape([(0, 100, 1, 1), (W5, 100, 1, 1)]), QuoteLog(), W5)
+
     def test_session_shorter_than_window(self):
-        quotes = [QuoteRecord(0, 99, 101), QuoteRecord(NS, 99, 101)]
+        quotes = QuoteLog([(0, 99, 101), (NS, 99, 101)])
         with pytest.raises(ValueError, match="shorter"):
-            resample([], quotes, W5)
+            resample(TradeTape(), quotes, W5)
+
+
+def random_quote_rows(rng, n):
+    """(ts, bid, ask) rows with one-sided rows and equal timestamps."""
+    rows, t = [], 0
+    for _ in range(n):
+        t += int(rng.integers(0, 5))
+        bid = int(rng.integers(90, 100))
+        roll = rng.random()
+        rows.append((t, None if roll < 0.2 else bid,
+                     None if 0.2 <= roll < 0.35 else bid + int(rng.integers(1, 4))))
+    return rows
+
+
+def brute_mid(rows, t):
+    """Mid of the last two-sided row at or before t, or None."""
+    mids = [(bid + ask) / 2.0 for ts, bid, ask in rows
+            if ts <= t and bid is not None and ask is not None]
+    return mids[-1] if mids else None
+
+
+class TestMidSeries:
+    def test_mid_series_matches_brute_force(self):
+        rng = np.random.default_rng(28)
+        rows = random_quote_rows(rng, 200)
+        grid = np.arange(-2, rows[-1][0] + 3)
+        want = [brute_mid(rows, int(t)) for t in grid]
+        got = mid_series_at(QuoteLog(rows), grid)
+        assert np.array_equal(got, np.asarray([np.nan if m is None else m for m in want]),
+                              equal_nan=True)
+
+    def test_time_averaged_mid_matches_brute_force(self):
+        rng = np.random.default_rng(29)
+        rows = random_quote_rows(rng, 200)
+        log = QuoteLog(rows)
+        for _ in range(50):
+            t_from = int(rng.integers(0, rows[-1][0]))
+            t_to = t_from + int(rng.integers(1, 40))
+            mids = [brute_mid(rows, t) for t in range(t_from, t_to)]  # one per ns
+            if mids[0] is None:
+                with pytest.raises(ValueError, match="no mid"):
+                    time_averaged_mid(log, t_from, t_to)
+            else:
+                assert time_averaged_mid(log, t_from, t_to) == pytest.approx(
+                    math.fsum(mids) / len(mids), rel=1e-12)
 
 
 # ------------------------------------------------------------- normalization
@@ -165,7 +263,7 @@ class TestRollingVolatility:
         sigma = rolling_volatility(windows, horizon_ns=h * W5)
         for i in (2, 5, 73, 150, 299):
             lo = max(0, i - h)
-            expected = brute_std([w.dp for w in windows[lo:i]])
+            expected = brute_std(windows.dp[lo:i].tolist())
             assert sigma[i] == pytest.approx(expected, abs=1e-12)
 
     def test_insufficient_history_flagged(self):
@@ -224,13 +322,13 @@ class TestAdjust:
         vol = np.array([np.nan, 5.0, 5.0])
         samples, skipped = adjust(windows, sigma, vol)
         assert skipped == 1
-        assert samples[0].q == 1.0 and samples[0].y == 1.0
+        assert samples.q[0] == 1.0 and samples.y[0] == 1.0
 
     def test_zero_net_volume(self):
         windows = make_windows([4], gross=[10], q_net=[0])
         samples, _ = adjust(windows, np.array([2.0]), np.array([5.0]))
-        assert samples[0].q == 0.0
-        assert samples[0].y == 1.0
+        assert samples.q[0] == 0.0
+        assert samples.y[0] == 1.0
 
     def test_conservation_of_counts(self):
         rng = np.random.default_rng(3)
@@ -247,12 +345,18 @@ class TestAdjust:
         sigma = np.array([1.0, 1.0, 1.0])
         vol = np.array([5.0, 5.0, 5.0])
         samples, _ = adjust(windows, sigma, vol)
-        assert [s.prev_sign for s in samples] == [0, 1, -1]
+        assert list(samples.prev_sign) == [0, 1, -1]
+
+    def test_prev_sign_of_skipped_window_kept(self):
+        windows = make_windows([2, 2, 2], q_net=[-9, 3, 0], gross=[9, 3, 1])
+        samples, skipped = adjust(windows, np.array([1.0, np.nan, 1.0]), np.full(3, 5.0))
+        assert skipped == 1
+        assert list(samples.t) == [0, 2] and list(samples.prev_sign) == [0, 1]
 
     def test_raw_net_volume_attached(self):
         windows = make_windows([2, 2, 2], q_net=[9, -3, 0], gross=[9, 3, 1])
         samples, _ = adjust(windows, np.ones(3), np.full(3, 5.0))
-        assert [s.q_net for s in samples] == [9, -3, 0]
+        assert list(samples.q_net) == [9, -3, 0]
 
 
 # ------------------------------------------------------------------- fitting
@@ -263,7 +367,7 @@ def synthetic_samples(rng, n, delta, noise_sd=0.0, k=1.0):
     y = k * signed_power(q, delta)
     if noise_sd > 0:
         y = y + rng.normal(0.0, noise_sd * y.std(), size=n)
-    return [AdjustedSample(t=i, q=float(q[i]), y=float(y[i]), prev_sign=0) for i in range(n)]
+    return make_samples(q, y)
 
 
 class TestFitDelta:
@@ -292,7 +396,7 @@ class TestFitDelta:
             fit_delta(synthetic_samples(rng, 99, delta=0.5))
 
     def test_degenerate_all_zero_q(self):
-        samples = [AdjustedSample(t=i, q=0.0, y=1.0, prev_sign=0) for i in range(200)]
+        samples = make_samples(np.zeros(200), np.ones(200))
         with pytest.raises(ValueError, match="unidentifiable"):
             fit_delta(samples)
 
@@ -301,9 +405,7 @@ class TestFitScale:
     def test_matches_fit_delta_at_its_optimum(self):
         samples = synthetic_samples(np.random.default_rng(8), 5_000, delta=0.6, noise_sd=0.2)
         fit = fit_delta(samples)
-        q = np.asarray([s.q for s in samples])
-        y = np.asarray([s.y for s in samples])
-        assert fit_scale(q, y, fit.delta) == (fit.k, fit.sse)
+        assert fit_scale(samples.q, samples.y, fit.delta) == (fit.k, fit.sse)
 
     def test_closed_form(self):
         q = np.array([-4.0, 1.0, 9.0])
@@ -321,13 +423,11 @@ class TestFitScale:
         config = replace(load_preset("santa-fe"), session_ns=120 * NS)
         sim = build_simulation(config)
         sim.run_until(config.session_ns)
-        quotes = [QuoteRecord(*row) for row in sim.quotes]
-        report = impact_report(records_from_tape(sim.trades), quotes, window_ns=NS,
+        report = impact_report(sim.trades, sim.quotes, window_ns=NS,
                                horizon_ns=30 * NS, delta=0.55, n_buckets=5, min_periods=10)
-        q = np.asarray([s.q for s in report.samples])
-        y = np.asarray([s.y for s in report.samples])
         assert len(report.samples) > 50
-        assert (report.delta_fit.k, report.delta_fit.sse) == fit_scale(q, y, 0.55)
+        assert (report.delta_fit.k, report.delta_fit.sse) == \
+            fit_scale(report.samples.q, report.samples.y, 0.55)
         assert report.delta_fit.delta == 0.55 and report.delta_fit.n == len(report.samples)
 
 
@@ -342,14 +442,12 @@ def lattice_samples(rng, n, prev_sign=False):
     q = q_net / v
     y = signed_power(q, 0.6) + rng.normal(0.0, 0.5, size=n)
     prev = rng.choice([-1, 1], size=n) if prev_sign else np.zeros(n, dtype=int)
-    return [AdjustedSample(t=i, q=float(q[i]), y=float(y[i]), prev_sign=int(prev[i]),
-                           q_net=int(q_net[i])) for i in range(n)]
+    return make_samples(q, y, prev, q_net)
 
 
 def assert_no_value_split(samples, stats):
     """Each q_net value's q range lies inside one bucket's [lo, hi]."""
-    q = np.asarray([s.q for s in samples])
-    q_net = np.asarray([s.q_net for s in samples])
+    q, q_net = samples.q, samples.q_net
     for value in np.unique(q_net):
         a, b = q[q_net == value].min(), q[q_net == value].max()
         inside = (stats.lo <= a) & (b <= stats.hi)
@@ -358,8 +456,7 @@ def assert_no_value_split(samples, stats):
 
 def equal_count_buckets(samples, n_buckets, delta=None):
     """The equal-count bucketing that tie-free samples must still reproduce."""
-    q = np.asarray([s.q for s in samples])
-    y = np.asarray([s.y for s in samples])
+    q, y = samples.q, samples.y
     key = q if delta is None else signed_power(q, delta)
     chunks = np.array_split(np.argsort(q, kind="stable"), n_buckets)
     return (np.asarray([key[c[0]] for c in chunks]), np.asarray([key[c[-1]] for c in chunks]),
@@ -372,8 +469,7 @@ class TestBucketMeans:
     def test_linear_data_collinear_means(self):
         rng = np.random.default_rng(8)
         q = rng.uniform(-1, 1, size=5000)
-        samples = [AdjustedSample(t=i, q=float(v), y=float(v), prev_sign=0)
-                   for i, v in enumerate(q)]
+        samples = make_samples(q, q)
         stats = bucket_means(samples, n_buckets=20)
         slope, intercept = np.polyfit(stats.mean_q, stats.mean_y, 1)
         resid = stats.mean_y - (slope * stats.mean_q + intercept)
@@ -383,8 +479,7 @@ class TestBucketMeans:
     def test_concavity_straightened_by_transform(self):
         rng = np.random.default_rng(9)
         q = rng.uniform(-2, 2, size=20_000)
-        samples = [AdjustedSample(t=i, q=float(v), y=float(signed_power(np.asarray(v), 0.5)),
-                                  prev_sign=0) for i, v in enumerate(q)]
+        samples = make_samples(q, signed_power(q, 0.5))
         raw = bucket_means(samples, n_buckets=20)
         # concave for q > 0: second differences of mean_y vs mean_q negative
         pos = raw.mean_q > 0
@@ -432,8 +527,7 @@ class TestBucketMeans:
     def test_exact_q_ties_kept_together_without_net_volume(self):
         rng = np.random.default_rng(24)
         q = np.round(rng.uniform(-1, 1, size=2000), 1)
-        samples = [AdjustedSample(t=i, q=float(v), y=float(v), prev_sign=0)
-                   for i, v in enumerate(q)]
+        samples = make_samples(q, q)
         stats = bucket_means(samples, n_buckets=20)
         assert stats.count.sum() == 2000
         assert np.all(stats.hi[:-1] < stats.lo[1:])
@@ -445,9 +539,8 @@ class TestBucketMeans:
         n = 1013
         q_net = rng.permutation(np.arange(-500, 513))
         q = q_net / rng.uniform(9.0, 11.0, size=n)
-        samples = [AdjustedSample(t=i, q=float(q[i]), y=float(rng.normal()), prev_sign=0,
-                                  q_net=int(q_net[i]) if with_net_volume else None)
-                   for i in range(n)]
+        samples = make_samples(q, rng.normal(size=n),
+                               q_net=q_net if with_net_volume else None)
         stats = bucket_means(samples, n_buckets=20, delta=delta)
         want = equal_count_buckets(samples, 20, delta)
         got = (stats.lo, stats.hi, stats.mean_q, stats.mean_y, stats.count)
@@ -465,8 +558,7 @@ class TestSplitByPreviousSign:
         q = rng.uniform(-1, 1, size=n)
         prev = rng.choice([-1, 1], size=n)
         y = signed_power(q, 0.6) + rng.normal(0, 0.1, size=n) + offset * prev
-        return [AdjustedSample(t=i, q=float(q[i]), y=float(y[i]), prev_sign=int(prev[i]))
-                for i in range(n)]
+        return make_samples(q, y, prev)
 
     def test_independent_data_groups_agree(self):
         rng = np.random.default_rng(11)
@@ -487,13 +579,16 @@ class TestSplitByPreviousSign:
 
     def test_counts_partition_nonzero_prev(self):
         rng = np.random.default_rng(13)
-        samples = self.make(rng, 5000)
-        samples += [AdjustedSample(t=10**6 + i, q=0.1, y=0.1, prev_sign=0) for i in range(50)]
+        base = self.make(rng, 5000)
+        samples = make_samples(np.append(base.q, np.full(50, 0.1)),
+                               np.append(base.y, np.full(50, 0.1)),
+                               np.append(base.prev_sign, np.zeros(50, dtype=int)),
+                               t=np.append(base.t, 10**6 + np.arange(50)))
         buy, sell = split_by_previous_sign(samples)
         assert buy.count.sum() + sell.count.sum() == 5000
 
     def test_single_sided_history_rejected(self):
-        samples = [AdjustedSample(t=i, q=0.1 * i, y=0.1, prev_sign=1) for i in range(100)]
+        samples = make_samples(0.1 * np.arange(100), np.full(100, 0.1), np.ones(100, dtype=int))
         with pytest.raises(ValueError, match="both"):
             split_by_previous_sign(samples)
 
@@ -522,7 +617,7 @@ def regression_samples(rng, n, kernel, delta=0.59):
     for lag, coef in enumerate(kernel):
         if coef != 0.0:
             y[lag:] += coef * x[: n - lag]
-    return [AdjustedSample(t=i, q=float(q[i]), y=float(y[i]), prev_sign=0) for i in range(n)]
+    return make_samples(q, y)
 
 
 class TestDecayRegression:
@@ -547,20 +642,32 @@ class TestDecayRegression:
         n = 2000
         q = rng.normal(0.0, 1.0, size=n)
         y = rng.normal(0.0, 1.0, size=n)
-        samples = [AdjustedSample(t=i, q=float(q[i]), y=float(y[i]), prev_sign=0)
-                   for i in range(n)]
+        samples = make_samples(q, y)
         kernel = decay_regression(samples, delta=0.59, max_lag=100)
         assert np.all(np.abs(kernel.beta) <= 3.0 * kernel.stderr)
 
     def test_requires_consecutive_rows(self):
         rng = np.random.default_rng(18)
         samples = regression_samples(rng, 1500, kernel=[1.0])
-        sparse = [s for s in samples if s.t % 7 != 0]  # punch holes
+        kept = samples.t % 7 != 0  # punch holes
+        sparse = make_samples(samples.q[kept], samples.y[kept], t=samples.t[kept])
         with pytest.raises(ValueError, match="consecutive"):
             decay_regression(sparse, delta=0.59, max_lag=100)
 
+    def test_rows_need_a_full_lag_window(self):
+        rng = np.random.default_rng(19)
+        samples = regression_samples(rng, 1500, kernel=[1.0, -0.05])
+        kept = ~np.isin(samples.t, [3, 700, 701, 1000])
+        holed = make_samples(samples.q[kept], samples.y[kept], t=samples.t[kept])
+        run, expected = 0, 0  # positions preceded by max_lag present ones, counted one by one
+        for present in kept:
+            run = run + 1 if present else 0
+            expected += run >= 21
+        n_rows = decay_regression(holed, delta=0.59, max_lag=20).n_rows
+        assert n_rows == expected == 676 + 278 + 479
+
     def test_rank_deficient_design(self):
-        samples = [AdjustedSample(t=i, q=1.0, y=1.0, prev_sign=0) for i in range(1000)]
+        samples = make_samples(np.ones(1000), np.ones(1000))
         with pytest.raises(NumericalError, match="cond"):
             decay_regression(samples, delta=0.59, max_lag=100)
 

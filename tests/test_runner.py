@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from primesim import runner
 from primesim.analysis import time_averaged_mid
+from primesim.book import OrderBook
+from primesim.cli import EXIT_NUMERICAL, cli
 from primesim.config import load_preset, loads_config
-from primesim.errors import ConfigError
+from primesim.errors import ConfigError, NumericalError
+from primesim.kernel import Simulation
 from primesim.runner import (
     CONFIG_FILE,
     L1_FILE,
@@ -77,22 +81,57 @@ class TestRunSimulation:
     def test_replay_reproduces(self, tmp_path):
         config = loads_config(SMALL_SIM)
         result = run_simulation(config, tmp_path / "run")
-        assert replay(result.out_dir)
+        assert replay(result.out_dir) is None
+
+    def test_replay_names_truncated_file(self, tmp_path):
+        result = run_simulation(loads_config(SMALL_SIM), tmp_path / "run")
+        trades = result.out_dir / TRADES_FILE
+        lines = trades.read_bytes().splitlines(keepends=True)
+        trades.write_bytes(b"".join(lines[:10]))
+        assert replay(result.out_dir) == f"{TRADES_FILE}:11"
+
+    def test_unconserved_quantity_fails_without_output(self, tmp_path, monkeypatch):
+        build = runner.build_simulation
+
+        def leaky_build(config):
+            sim = build(config)
+            sim.book.cancelled_qty += 1  # one unit of quantity unaccounted for
+            return sim
+
+        monkeypatch.setattr(runner, "build_simulation", leaky_build)
+        with pytest.raises(NumericalError, match="not conserved"):
+            run_simulation(loads_config(SMALL_SIM), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        assert not list(tmp_path.glob("run.tmp-*"))
+
+    def test_crossed_book_at_session_end_exit_code(self, tmp_path, monkeypatch):
+        run_until = Simulation.run_until
+
+        def run_then_cross(sim, end):
+            stats = run_until(sim, end)
+            monkeypatch.setattr(OrderBook, "crossed", property(lambda book: True))
+            return stats
+
+        monkeypatch.setattr(Simulation, "run_until", run_then_cross)
+        config = tmp_path / "config.yaml"
+        config.write_text(SMALL_SIM)
+        assert cli(["simulate", str(config), "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
+        assert not (tmp_path / "run").exists()
 
     def test_load_run_round_trip(self, tmp_path):
         config = loads_config(SMALL_SIM)
         result = run_simulation(config, tmp_path / "run")
         trades, quotes = load_run(result.out_dir)
         assert len(trades) == result.stats.n_trades
-        assert quotes[0].ts == 0
+        assert quotes.ts[0] == 0
 
     def test_book_never_crossed_and_uncrossed_quotes(self, tmp_path):
         config = loads_config(SMALL_SIM)
         result = run_simulation(config, tmp_path / "run")
         _, quotes = load_run(result.out_dir)
-        for q in quotes:
-            if q.bid is not None and q.ask is not None:
-                assert q.bid < q.ask
+        for _, bid, ask in quotes:
+            if bid is not None and ask is not None:
+                assert bid < ask
 
 
 class TestEcologies:
@@ -110,10 +149,7 @@ class TestEcologies:
             config = loads_config(PRIME_SIM.replace("start_price: 1000", f"start_price: {start}"))
             sim = build_simulation(config)
             sim.run_until(config.session_ns)
-            from primesim.tradeio import QuoteRecord
-
-            quotes = [QuoteRecord(*q) for q in sim.quotes]
-            q4 = time_averaged_mid(quotes, 3 * config.session_ns // 4, config.session_ns)
+            q4 = time_averaged_mid(sim.quotes, 3 * config.session_ns // 4, config.session_ns)
             assert abs(q4 - 1000) < abs(start - 1000)
 
     def test_santa_fe_stationarity_smoke(self):
@@ -158,7 +194,6 @@ class TestEcologies:
     def test_darp_market_mode_wiring(self):
         from primesim.agents import DarpMarketAgent
         from primesim.impact import order_sign_acf
-        from primesim.tradeio import records_from_tape, trade_signs
 
         config = loads_config(
             SMALL_SIM.replace("zi_market: {count: 10, wake_rate: 0.3, mode: santa_fe, size: 2}",
@@ -169,5 +204,5 @@ class TestEcologies:
         assert len(darp_agents) == 1
         assert darp_agents[0].process.params.p == 0.95
         sim.run_until(config.session_ns)
-        signs = trade_signs(records_from_tape(sim.trades))
+        signs = sim.trades.column("sign")
         assert order_sign_acf(signs, max_lag=1)[0] > 0.1  # persistent flow reaches the tape

@@ -6,7 +6,6 @@ from primesim.book import Side, Trade
 from primesim.errors import DataError
 from primesim.kernel import QuoteLog, TradeTape
 from primesim.tradeio import (
-    QuoteRecord,
     read_l1,
     read_trades,
     read_summary,
@@ -26,18 +25,37 @@ class TestReadTrades:
         write_lines(path, ["ts,price,qty,aggressor",
                            "10,100,2,B", "20,101,1,S", "30,99,4,B"])
         dump = read_trades(path)
-        assert len(dump.records) == 3
-        assert dump.records[0] == (10, 100, 2, 1)
-        assert dump.records[1].sign == -1
+        tape = dump.records
+        assert len(tape) == 3
+        assert (tape.ts[0], tape.price[0], tape.qty[0], tape.sign[0]) == (10, 100, 2, 1)
+        assert tape.sign[1] == -1
         assert dump.n_malformed == 0
+
+    def test_unknown_order_and_agent_ids(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["ts,price,qty,aggressor,taker_agent", "10,100,2,B,7", "20,101,1,S,8"])
+        tape = read_trades(path).records
+        assert list(tape.maker_order) == list(tape.taker_agent) == [-1, -1]
+        assert tape[0] == Trade(ts=10, price=100, qty=2, aggressor=Side.BID,
+                                maker_order=-1, taker_agent=-1)
+        assert list(tape.column("price")) == [100, 101]
+
+    def test_out_of_int64_range_is_malformed(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = ["ts,price,qty,aggressor"] + [f"{i},100,1,B" for i in range(200)]
+        rows.append(f"300,{2**63},1,B")
+        write_lines(path, rows)
+        dump = read_trades(path)
+        assert dump.n_malformed == 1 and len(dump.records) == 200
 
     def test_out_of_order_rows_sorted_stably(self, tmp_path):
         path = tmp_path / "t.csv"
         write_lines(path, ["ts,price,qty,aggressor",
                            "30,103,1,B", "10,101,1,B", "10,102,1,S", "20,104,1,B"])
         dump = read_trades(path)
-        assert [r.ts for r in dump.records] == [10, 10, 20, 30]
-        assert [r.price for r in dump.records] == [101, 102, 104, 103]  # stable at ties
+        assert list(dump.records.ts) == [10, 10, 20, 30]
+        assert list(dump.records.price) == [101, 102, 104, 103]  # stable at ties
+        assert list(dump.records.sign) == [1, -1, 1, 1]
 
     def test_malformed_rows_counted(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -76,7 +94,8 @@ class TestReadTrades:
         path = tmp_path / "tape.csv"
         write_trades(path, trades)
         dump = read_trades(path)
-        assert [(r.ts, r.price, r.qty, r.sign) for r in dump.records] == \
+        tape = dump.records
+        assert list(zip(tape.ts, tape.price, tape.qty, tape.sign)) == \
                [(5, 100, 2, 1), (9, 99, 1, -1)]
 
     def test_missing_file(self, tmp_path):
@@ -98,8 +117,9 @@ class TestL1File:
         path = tmp_path / "l1.csv"
         write_l1(path, rows)
         quotes = read_l1(path)
-        assert quotes == [QuoteRecord(0, 99, 101), QuoteRecord(5, None, 101),
-                          QuoteRecord(9, 98, None), QuoteRecord(12, 97, 100)]
+        assert isinstance(quotes, QuoteLog)
+        assert quotes == [(0, 99, 101), (5, None, 101), (9, 98, None), (12, 97, 100)]
+        assert list(quotes.mid2x) == [200, 200, 200, 197]
 
     def test_quote_log_round_trip(self, tmp_path):
         rows = [(0, None, None), (0, 99, None), (5, 99, 101), (9, None, 101), (12, 97, 100)]
@@ -118,6 +138,13 @@ class TestL1File:
         path = tmp_path / "l1.csv"
         path.write_text("ts,best_bid,best_ask\n0,99,101\nnope,,\n")
         with pytest.raises(DataError, match="malformed"):
+            read_l1(path)
+
+    @pytest.mark.parametrize("row", ["5,0,101", "5,99,-2", f"5,{2**63},101"])
+    def test_price_outside_ticks_is_malformed(self, tmp_path, row):
+        path = tmp_path / "l1.csv"
+        path.write_text(f"ts,best_bid,best_ask\n0,99,101\n{row}\n")
+        with pytest.raises(DataError, match=":3: malformed"):
             read_l1(path)
 
 
