@@ -1,6 +1,6 @@
 """primesim: deterministic multi-agent exchange simulator and impact analytics."""
 
-from .book import L1Snapshot, LimitOrder, MarketResult, OrderBook, Side, Trade
+from .book import LimitOrder, MarketResult, OrderBook, Side
 from .calibrate import TuneResult, tune_darp
 from .config import RunConfig, load_config, load_preset
 from .darp import DarpParams, DarpProcess, generate_signs
@@ -30,9 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BucketStats", "DarpParams", "DarpProcess", "DecayKernel",
-    "DeltaFit", "L1Snapshot", "LimitOrder", "MarketResult", "OrderBook",
+    "DeltaFit", "LimitOrder", "MarketResult", "OrderBook",
     "PowerLawFit", "PriceSeries", "RunConfig", "RunStats", "Samples", "Side", "Simulation",
-    "Trade", "TuneResult", "Windows", "adjust", "bucket_means",
+    "TuneResult", "Windows", "adjust", "bucket_means",
     "build_simulation", "decay_regression", "fit_delta", "fit_power_law",
     "generate_signs", "load_config", "load_preset", "make_series",
     "next_poisson_wakeup", "observe", "order_sign_acf", "replay", "resample",

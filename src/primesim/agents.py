@@ -57,7 +57,7 @@ class ZiLimitAgent(Agent):
         if self.rng.random() < self.group.p_cancel:
             self._cancel_oldest(sim)
             return
-        mid2x = sim.l1().mid2x
+        mid2x = sim.book.mid2x
         if mid2x is None:
             return  # side branch is undecidable on a one-sided book
         v = self._valuation(mid2x)
@@ -117,7 +117,7 @@ class PrimeMarketAgent(Agent):
 
     def wakeup(self, sim) -> None:
         observed = sim.observe(self.group.noise, self.rng)
-        mid2x = sim.l1().mid2x
+        mid2x = sim.book.mid2x
         if mid2x is None:
             buy = self.rng.random() <= 0.5
         elif 2 * observed > mid2x:

@@ -42,47 +42,11 @@ class LimitOrder:
 
 
 @dataclass(frozen=True)
-class Trade:
-    ts: int
-    price: int
-    qty: int
-    aggressor: Side
-    maker_order: int
-    taker_agent: int
-
-
-@dataclass(frozen=True)
-class L1Snapshot:
-    """Top-of-book view; mid and spread are defined only when both sides quote."""
-
-    ts: int
-    best_bid: int | None
-    best_ask: int | None
-
-    @property
-    def mid2x(self) -> int | None:
-        if self.best_bid is None or self.best_ask is None:
-            return None
-        return self.best_bid + self.best_ask
-
-    @property
-    def spread(self) -> int | None:
-        if self.best_bid is None or self.best_ask is None:
-            return None
-        return self.best_ask - self.best_bid
-
-
-@dataclass(frozen=True)
 class MarketResult:
-    """Outcome of a market order: fills plus the discarded remainder."""
+    """Outcome of a market order: its fills plus the discarded remainder."""
 
-    trades: list[Trade]
+    trades: list[tuple[int, ...]]
     remainder: int
-    no_liquidity: bool
-
-    @property
-    def filled(self) -> int:
-        return sum(t.qty for t in self.trades)
 
 
 class OrderBook:
@@ -131,8 +95,12 @@ class OrderBook:
         return (bool(self._bid_prices) and bool(self._ask_prices)
                 and self._bid_prices[-1] >= self._ask_prices[0])
 
-    def l1(self, ts: int = 0) -> L1Snapshot:
-        return L1Snapshot(ts=ts, best_bid=self.best_bid, best_ask=self.best_ask)
+    @property
+    def mid2x(self) -> int | None:
+        """best_bid + best_ask (twice the mid), or None while either side is empty."""
+        if self._bid_prices and self._ask_prices:
+            return self._bid_prices[-1] + self._ask_prices[0]
+        return None
 
     def order(self, order_id: int) -> LimitOrder | None:
         """The resting order with this id, or None if not resting."""
@@ -170,10 +138,10 @@ class OrderBook:
 
     # ------------------------------------------------------------- operations
 
-    def submit_limit(self, order: LimitOrder) -> list[Trade]:
+    def submit_limit(self, order: LimitOrder) -> list[tuple[int, ...]]:
         """Match a limit order against the opposite side; rest any remainder.
 
-        Returns the trades in execution order. Rejects non-positive quantities,
+        Returns the fills in execution order. Rejects non-positive quantities,
         off-grid prices, and ids that do not exceed the last accepted id (which
         covers every duplicate).
         """
@@ -204,7 +172,7 @@ class OrderBook:
         self.submitted_qty += qty
         trades, remaining = self._match(agent, side, qty, None, ts)
         self.discarded_qty += remaining
-        return MarketResult(trades=trades, remainder=remaining, no_liquidity=not trades)
+        return MarketResult(trades=trades, remainder=remaining)
 
     def cancel(self, order_id: int) -> LimitOrder | None:
         """Remove a resting order. Unknown or already-filled ids return None."""
@@ -267,15 +235,20 @@ class OrderBook:
 
     def _match(
         self, taker_agent: int, side: Side, qty: int, limit_price: int | None, ts: int,
-    ) -> tuple[list[Trade], int]:
-        """Consume the opposite side in price-time priority, skipping own orders."""
+    ) -> tuple[list[tuple[int, ...]], int]:
+        """Consume the opposite side in price-time priority, skipping own orders.
+
+        Each fill is one trade-tape row, ``(ts, price, qty, sign, maker_order,
+        taker_agent)``, where ``sign`` is the aggressor's (+1 buy, -1 sell).
+        """
         buying = side is Side.BID
+        sign = side.sign
         if buying:
             levels, prices = self._ask_levels, self._ask_prices
         else:
             levels, prices = self._bid_levels, self._bid_prices
         by_id = self._by_id
-        trades: list[Trade] = []
+        trades: list[tuple[int, ...]] = []
         remaining = qty
         pi = 0 if buying else len(prices) - 1
         while remaining > 0 and 0 <= pi < len(prices):
@@ -297,8 +270,7 @@ class OrderBook:
                 maker.qty -= take
                 remaining -= take
                 self.traded_qty += take
-                trades.append(Trade(ts=ts, price=price, qty=take, aggressor=side,
-                                    maker_order=maker.id, taker_agent=taker_agent))
+                trades.append((ts, price, take, sign, maker.id, taker_agent))
                 if maker.qty == 0:
                     del queue[i]
                     del by_id[maker.id]

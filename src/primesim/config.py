@@ -25,6 +25,11 @@ from .errors import ConfigError
 
 PRESET_NAMES = ("santa-fe", "prime")
 
+# Cap on a run's expected agent wakeups, sum of count * wake_rate * session
+# seconds. A 1 h prime session expects ~1.55e6; at the event loop's ~1e5
+# wakeups/s a config past the cap would run for hours, so it is rejected.
+MAX_EXPECTED_WAKEUPS = 1e9
+
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ns|us|ms|s|m|h)\s*$")
 _UNIT_NS = {"ns": 1, "us": 10**3, "ms": 10**6, "s": 10**9, "m": 60 * 10**9, "h": 3600 * 10**9}
 
@@ -227,6 +232,12 @@ class RunConfig(_Section):
             raise ConfigError("prime-mode market agents require an oracle section")
         if sum(self.census().values()) == 0:
             raise ConfigError("no agents configured")
+        groups = [getattr(self, name) for name in GROUPS]
+        wakeups = sum(g.count * g.wake_rate for g in groups if g) * self.session_ns / 1e9
+        if wakeups > MAX_EXPECTED_WAKEUPS:
+            raise ConfigError(f"{wakeups:.3g} expected agent wakeups exceed the cap of "
+                              f"{MAX_EXPECTED_WAKEUPS:.0e}; lower a count, wake_rate or "
+                              f"the session")
 
 
 # ---------------------------------------------------------------- parse / serialize

@@ -11,12 +11,12 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .book import L1Snapshot, LimitOrder, MarketResult, OrderBook, Side, Trade
+from .book import LimitOrder, MarketResult, OrderBook, Side
 from .oracle import PriceSeries, observe
 
 # Stream namespaces under the master seed.
@@ -36,12 +36,11 @@ class RunStats:
     end: int
 
 
-class _ColumnLog(Sequence):
-    """Append-only int64 columns that read back as rows, one per index.
+class _ColumnLog:
+    """Append-only int64 columns, one ``array('q')`` attribute per name.
 
-    Subclasses name their columns (the first is ``ts``), build a row from
-    one value of each, and ``extend`` the columns from rows. A log compares
-    equal to any sequence of equal rows.
+    Subclasses name their columns (the first is ``ts``) and ``extend`` them
+    from rows; the log is read by column, never by row.
     """
 
     _columns: tuple[str, ...] = ()
@@ -53,19 +52,6 @@ class _ColumnLog(Sequence):
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return self._row(*(getattr(self, name)[i] for name in self._columns))
-
-    def __iter__(self):
-        return map(self._row, *(getattr(self, name) for name in self._columns))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     @classmethod
     def from_columns(cls, **columns: array):
@@ -83,42 +69,32 @@ class _ColumnLog(Sequence):
 
 
 class TradeTape(_ColumnLog):
-    """The trade tape as columns; rows read back as equal ``Trade`` values.
+    """The trade tape as columns; a row is one fill as ``OrderBook`` emits it.
 
     ``sign`` is the aggressor's side sign (+1 buy, -1 sell).
     """
 
     _columns = ("ts", "price", "qty", "sign", "maker_order", "taker_agent")
 
-    @staticmethod
-    def _row(ts: int, price: int, qty: int, sign: int, maker_order: int,
-             taker_agent: int) -> Trade:
-        return Trade(ts=ts, price=price, qty=qty, aggressor=Side.BID if sign > 0 else Side.ASK,
-                     maker_order=maker_order, taker_agent=taker_agent)
-
-    def extend(self, trades: Iterable[Trade]) -> None:
-        for t in trades:
-            self.ts.append(t.ts)
-            self.price.append(t.price)
-            self.qty.append(t.qty)
-            self.sign.append(t.aggressor.sign)
-            self.maker_order.append(t.maker_order)
-            self.taker_agent.append(t.taker_agent)
+    def extend(self, fills: Iterable[tuple[int, ...]]) -> None:
+        for ts, price, qty, sign, maker_order, taker_agent in fills:
+            self.ts.append(ts)
+            self.price.append(price)
+            self.qty.append(qty)
+            self.sign.append(sign)
+            self.maker_order.append(maker_order)
+            self.taker_agent.append(taker_agent)
 
 
 class QuoteLog(_ColumnLog):
     """Top-of-book changes as columns ``ts, bid, ask, mid2x``.
 
-    Rows read back as ``(ts, bid, ask)`` with None for an empty side. Prices
+    Rows are appended as ``(ts, bid, ask)`` with None for an empty side. Prices
     are ticks >= 1, so 0 marks an empty side in the columns. ``mid2x``
     carries the last two-sided mid (x2) forward and is 0 before there is one.
     """
 
     _columns = ("ts", "bid", "ask", "mid2x")
-
-    @staticmethod
-    def _row(ts: int, bid: int, ask: int, mid2x: int) -> tuple[int, int | None, int | None]:
-        return ts, bid or None, ask or None
 
     def append(self, ts: int, bid: int | None, ask: int | None) -> None:
         mids = self.mid2x
@@ -165,8 +141,8 @@ class Simulation:
 
     Agents are duck-typed: they expose agent_id, wakeup(sim), and
     next_wakeup_delay(). During wakeup they act through place_limit /
-    place_market / cancel and the read-only views below. After each wakeup the
-    kernel reschedules the agent (self-clocking arrivals).
+    place_market / cancel and read the book and the views below. After each
+    wakeup the kernel reschedules the agent (self-clocking arrivals).
     """
 
     def __init__(self, book: OrderBook, series: PriceSeries | None = None, start: int = 0):
@@ -255,9 +231,6 @@ class Simulation:
 
     # ---------------------------------------------------------------- views
 
-    def l1(self) -> L1Snapshot:
-        return self.book.l1(self.now)
-
     def observe(self, noise_half_width: int, rng: np.random.Generator) -> int:
         if self.series is None:
             raise ValueError("simulation has no oracle series")
@@ -274,7 +247,7 @@ class Simulation:
 
     # ------------------------------------------------------------- recording
 
-    def _record(self, trades: list[Trade]) -> None:
+    def _record(self, trades: list[tuple[int, ...]]) -> None:
         self.trades.extend(trades)
         self.log_quote()
 

@@ -113,7 +113,6 @@ def _write_artifacts(dest: Path, config: RunConfig, sim: Simulation, stats: RunS
     tradeio.write_l1(dest / L1_FILE, sim.quotes)
     (dest / CONFIG_FILE).write_text(dump_config(config))
     book = sim.book
-    l1 = book.l1(stats.end)
     tradeio.write_summary(dest / SUMMARY_FILE, {
         "seed": config.seed,
         "session_ns": config.session_ns,
@@ -124,8 +123,8 @@ def _write_artifacts(dest: Path, config: RunConfig, sim: Simulation, stats: RunS
         "cancelled_qty": book.cancelled_qty,
         "discarded_qty": book.discarded_qty,
         "resting_orders": len(book),
-        "final_best_bid": "" if l1.best_bid is None else l1.best_bid,
-        "final_best_ask": "" if l1.best_ask is None else l1.best_ask,
+        "final_best_bid": "" if book.best_bid is None else book.best_bid,
+        "final_best_ask": "" if book.best_ask is None else book.best_ask,
     })
 
 

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .book import Side, Trade
+from .book import Side
 from .errors import DataError
 from .kernel import QuoteLog, TradeTape
 
@@ -122,10 +122,8 @@ def _blank_if_zero(price: int) -> int | str:
     return price or ""
 
 
-def write_trades(path: str | Path, trades: Iterable[Trade]) -> None:
+def write_trades(path: str | Path, trades: TradeTape) -> None:
     """Write a trade CSV row by row from the columns of a ``TradeTape``."""
-    if not isinstance(trades, TradeTape):
-        trades = TradeTape(trades)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRADE_HEADER)
@@ -134,15 +132,13 @@ def write_trades(path: str | Path, trades: Iterable[Trade]) -> None:
                              trades.taker_agent))
 
 
-def write_l1(path: str | Path, rows: Iterable[tuple[int, int | None, int | None]]) -> None:
+def write_l1(path: str | Path, quotes: QuoteLog) -> None:
     """Write an L1 CSV row by row from the columns of a ``QuoteLog``."""
-    if not isinstance(rows, QuoteLog):
-        rows = QuoteLog(rows)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(L1_HEADER)
-        writer.writerows(zip(rows.ts, map(_blank_if_zero, rows.bid),
-                             map(_blank_if_zero, rows.ask)))
+        writer.writerows(zip(quotes.ts, map(_blank_if_zero, quotes.bid),
+                             map(_blank_if_zero, quotes.ask)))
 
 
 def write_summary(path: str | Path, fields: dict[str, object]) -> None:

@@ -5,11 +5,38 @@ shares no code or data structures with the production book. Implements the
 same economics: price-time priority, skip-own-agent matching, market-order
 remainder discard, and discard of limit remainders that could only cross the
 submitting agent's own resting orders.
+
+Also holds the row type the tests compare fills as, and readers that turn the
+simulator's column logs back into rows.
 """
 
 from __future__ import annotations
 
-from primesim.book import Side, Trade
+from typing import NamedTuple
+
+from primesim.book import Side
+
+
+class Fill(NamedTuple):
+    """One fill in trade-tape column order; equal to the plain tuple the book emits."""
+
+    ts: int
+    price: int
+    qty: int
+    sign: int
+    maker_order: int
+    taker_agent: int
+
+
+def tape_rows(tape) -> list[Fill]:
+    """The rows of a ``TradeTape``, read off its columns."""
+    return list(map(Fill, tape.ts, tape.price, tape.qty, tape.sign,
+                    tape.maker_order, tape.taker_agent))
+
+
+def quote_rows(log) -> list[tuple[int, int | None, int | None]]:
+    """The ``(ts, bid, ask)`` rows of a ``QuoteLog``, None for an empty side."""
+    return [(ts, bid or None, ask or None) for ts, bid, ask in zip(log.ts, log.bid, log.ask)]
 
 
 class ReferenceBook:
@@ -49,7 +76,7 @@ class ReferenceBook:
         return best
 
     def _walk(self, taker_agent: int, side: Side, qty: int,
-              limit_price: int | None, ts: int) -> tuple[list[Trade], int]:
+              limit_price: int | None, ts: int) -> tuple[list[Fill], int]:
         trades = []
         remaining = qty
         while remaining > 0:
@@ -60,8 +87,8 @@ class ReferenceBook:
             maker["qty"] -= take
             remaining -= take
             self.traded_qty += take
-            trades.append(Trade(ts=ts, price=maker["price"], qty=take, aggressor=side,
-                                maker_order=maker["id"], taker_agent=taker_agent))
+            trades.append(Fill(ts=ts, price=maker["price"], qty=take, sign=side.sign,
+                               maker_order=maker["id"], taker_agent=taker_agent))
             if maker["qty"] == 0:
                 self.resting.remove(maker)
         return trades, remaining
@@ -69,7 +96,7 @@ class ReferenceBook:
     # operations ------------------------------------------------------------
 
     def submit_limit(self, order_id: int, agent: int, side: Side,
-                     price: int, qty: int, ts: int) -> list[Trade]:
+                     price: int, qty: int, ts: int) -> list[Fill]:
         if qty <= 0 or price < 1 or order_id in self.seen_ids:
             raise ValueError("rejected")
         self.seen_ids.add(order_id)
@@ -90,7 +117,7 @@ class ReferenceBook:
                 self._arrival += 1
         return trades
 
-    def submit_market(self, agent: int, side: Side, qty: int, ts: int) -> list[Trade]:
+    def submit_market(self, agent: int, side: Side, qty: int, ts: int) -> list[Fill]:
         if qty <= 0:
             raise ValueError("rejected")
         self.submitted_qty += qty

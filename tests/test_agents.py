@@ -10,7 +10,7 @@ from primesim.agents import (
     ZiMarketAgent,
     DarpMarketAgent,
 )
-from primesim.book import L1Snapshot, Side
+from primesim.book import LimitOrder, OrderBook, Side
 from primesim.config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
 from primesim.errors import ConfigError
 from primesim.darp import DarpParams, DarpProcess, generate_signs, lag_distribution
@@ -19,12 +19,16 @@ from primesim.oracle import constant_series, observe
 
 
 class StubSim:
-    """Recording stand-in for the event-loop facade."""
+    """Recording stand-in for the event-loop facade over a book quoting one
+    unit at each given best price."""
 
     def __init__(self, best_bid=None, best_ask=None, series=None, now=0, mid_history=None):
         self.now = now
-        self.best_bid = best_bid
-        self.best_ask = best_ask
+        self.book = OrderBook()
+        for side, price in ((Side.BID, best_bid), (Side.ASK, best_ask)):
+            if price is not None:
+                self.book.submit_limit(LimitOrder(id=self.book.new_order_id(), agent=-1,
+                                                  side=side, price=price, qty=1))
         self.series = series
         self.mid_history = mid_history or {}
         self.placed_limits = []
@@ -32,9 +36,6 @@ class StubSim:
         self.cancelled = []
         self.live_orders = set()
         self._next_id = 1
-
-    def l1(self):
-        return L1Snapshot(ts=self.now, best_bid=self.best_bid, best_ask=self.best_ask)
 
     def place_limit(self, agent_id, side, price, qty):
         oid = self._next_id

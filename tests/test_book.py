@@ -8,7 +8,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from primesim.book import SEEDER_AGENT, LimitOrder, OrderBook, Side
 
-from reference import ReferenceBook
+from reference import Fill, ReferenceBook
 
 
 def lo(oid, agent, side, price, qty, ts=0):
@@ -28,7 +28,8 @@ class TestSubmitLimit:
         book.submit_limit(lo(1, 0, Side.ASK, 101, 3))
         book.submit_limit(lo(2, 0, Side.ASK, 102, 4))
         trades = book.submit_limit(lo(3, 1, Side.BID, 102, 5))
-        assert [(t.price, t.qty) for t in trades] == [(101, 3), (102, 2)]
+        # one tuple per fill: (ts, price, qty, sign, maker_order, taker_agent)
+        assert trades == [(0, 101, 3, 1, 1, 1), (0, 102, 2, 1, 2, 1)]
         assert book.best_ask == 102
         assert book.depth(Side.ASK, 102) == 2
         assert book.best_bid is None  # fully filled, nothing rested
@@ -37,7 +38,7 @@ class TestSubmitLimit:
         book = OrderBook()
         book.submit_limit(lo(1, 0, Side.ASK, 101, 3))
         trades = book.submit_limit(lo(2, 1, Side.BID, 101, 5))
-        assert [(t.price, t.qty) for t in trades] == [(101, 3)]
+        assert trades == [(0, 101, 3, 1, 1, 1)]
         assert book.best_bid == 101
         assert book.depth(Side.BID, 101) == 2
 
@@ -59,15 +60,15 @@ class TestSubmitLimit:
         book.submit_limit(lo(1, 0, Side.ASK, 101, 2))
         book.submit_limit(lo(2, 1, Side.ASK, 101, 2))
         trades = book.submit_limit(lo(3, 2, Side.BID, 101, 3))
-        assert [t.maker_order for t in trades] == [1, 2]
-        assert [t.qty for t in trades] == [2, 1]
+        assert [Fill(*t).maker_order for t in trades] == [1, 2]
+        assert [Fill(*t).qty for t in trades] == [2, 1]
 
     def test_skips_own_resting_orders(self):
         book = OrderBook()
         book.submit_limit(lo(1, 5, Side.ASK, 101, 2))  # own
         book.submit_limit(lo(2, 6, Side.ASK, 101, 2))
         trades = book.submit_limit(lo(3, 5, Side.BID, 101, 2))
-        assert [t.maker_order for t in trades] == [2]
+        assert trades == [(0, 101, 2, 1, 2, 5)]
         assert book.order(1).qty == 2  # untouched
 
     def test_self_cross_remainder_discarded(self):
@@ -164,8 +165,8 @@ class TestSubmitMarket:
     def test_partial_level(self):
         book = OrderBook()
         book.submit_limit(lo(1, 0, Side.ASK, 101, 3))
-        result = book.submit_market(1, Side.BID, 2)
-        assert [(t.price, t.qty) for t in result.trades] == [(101, 2)]
+        result = book.submit_market(1, Side.BID, 2, ts=7)
+        assert result.trades == [(7, 101, 2, 1, 1, 1)]
         assert book.best_ask == 101
         assert book.depth(Side.ASK, 101) == 1
         assert result.remainder == 0
@@ -174,7 +175,7 @@ class TestSubmitMarket:
         book = OrderBook()
         book.submit_limit(lo(1, 0, Side.ASK, 101, 3))
         result = book.submit_market(1, Side.BID, 5)
-        assert [(t.price, t.qty) for t in result.trades] == [(101, 3)]
+        assert result.trades == [(0, 101, 3, 1, 1, 1)]
         assert result.remainder == 2
         assert book.discarded_qty == 2
         assert book.best_ask is None
@@ -183,8 +184,8 @@ class TestSubmitMarket:
         book = OrderBook()
         result = book.submit_market(1, Side.BID, 4)
         assert result.trades == []
-        assert result.no_liquidity
         assert result.remainder == 4
+        assert book.discarded_qty == 4
 
     def test_rejects_nonpositive_qty(self):
         book = OrderBook()
@@ -219,15 +220,22 @@ class TestL1:
         book = OrderBook()
         book.submit_limit(lo(1, 0, Side.BID, 99, 1))
         book.submit_limit(lo(2, 0, Side.ASK, 101, 1))
-        snap = book.l1(5)
-        assert snap.mid2x == 200
-        assert snap.spread == 2
-        assert snap.ts == 5
+        assert (book.best_bid, book.best_ask) == (99, 101)
+        assert book.mid2x == 200
+        assert book.best_ask - book.best_bid == 2
+        book.submit_limit(lo(3, 0, Side.BID, 100, 1))
+        assert book.mid2x == 201  # a half-tick mid stays integral
 
     def test_empty_book_absent(self):
-        snap = OrderBook().l1()
-        assert snap.best_bid is None and snap.best_ask is None
-        assert snap.mid2x is None and snap.spread is None
+        book = OrderBook()
+        assert book.best_bid is None and book.best_ask is None
+        assert book.mid2x is None
+        # the mid stays absent while either side is empty
+        book.submit_limit(lo(1, 0, Side.BID, 99, 1))
+        assert (book.best_bid, book.best_ask, book.mid2x) == (99, None, None)
+        book.cancel(1)
+        book.submit_limit(lo(2, 0, Side.ASK, 101, 1))
+        assert (book.best_bid, book.best_ask, book.mid2x) == (None, 101, None)
 
 
 class TestSeedLinear:
@@ -322,7 +330,7 @@ class TestReferenceEquivalence:
         book, ref, book_tape, ref_tape = apply_ops(ops)
         assert book_tape == ref_tape
         assert book.dump() == ref.dump()
-        assert (book.l1().best_bid, book.l1().best_ask) == ref.l1()
+        assert (book.best_bid, book.best_ask) == ref.l1()
 
     def test_interleaved_fills_and_cancels(self):
         rng = np.random.default_rng(7)
@@ -353,7 +361,7 @@ class TestInvariants:
         book = OrderBook()
         book.submit_limit(lo(1, 0, Side.ASK, 105, 2))
         trades = book.submit_limit(lo(2, 1, Side.BID, 110, 2))
-        assert all(t.price == 105 for t in trades)
+        assert [Fill(*t).price for t in trades] == [105]
 
 
 AGENTS = st.integers(0, 3)
@@ -367,8 +375,9 @@ class BookVersusReference(RuleBasedStateMachine):
 
     Limit, market and cancel operations (live, already retired and never
     issued ids) plus limits priced through the submitter's own resting orders;
-    after every step both books hold the same orders, counters and tape, and
-    the production book is not crossed.
+    after every step both books hold the same orders, counters, tape and top
+    of book (best bid, best ask and mid2x), and the production book is not
+    crossed.
     """
 
     def __init__(self):
@@ -396,7 +405,7 @@ class BookVersusReference(RuleBasedStateMachine):
         result = self.book.submit_market(agent, side, qty, self.ts)
         self.book_tape += result.trades
         self.ref_tape += self.ref.submit_market(agent, side, qty, self.ts)
-        assert result.remainder == qty - sum(t.qty for t in result.trades)
+        assert result.remainder == qty - sum(Fill(*t).qty for t in result.trades)
 
     @precondition(lambda self: self.issued)
     @rule(data=st.data())
@@ -426,7 +435,9 @@ class BookVersusReference(RuleBasedStateMachine):
         assert self.book_tape == self.ref_tape
         assert self.book.dump() == self.ref.dump()
         assert not self.book.crossed
-        assert (self.book.best_bid, self.book.best_ask) == self.ref.l1()
+        bid, ask = self.ref.l1()
+        assert (self.book.best_bid, self.book.best_ask) == (bid, ask)
+        assert self.book.mid2x == (None if bid is None or ask is None else bid + ask)
         for counter in ("submitted_qty", "traded_qty", "cancelled_qty", "discarded_qty"):
             assert getattr(self.book, counter) == getattr(self.ref, counter), counter
 

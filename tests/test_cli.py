@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, outputs, and exit-code contract."""
 
 import shutil
+import time
 
 import pytest
 
+from primesim import runner
 from primesim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, cli
+from primesim.kernel import RunStats
 
 CONFIG = """
 seed: 11
@@ -56,11 +59,37 @@ class TestSimulate:
         assert cli(["simulate", str(bad), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("flag,value", [("--seed", "-3"), ("--session", "0s"),
-                                            ("--session", "soon")])
+                                            ("--session", "soon"),
+                                            ("--session", "2000h")])  # past the wakeup cap
     def test_bad_override_exit_code(self, tmp_path, flag, value):
         out = tmp_path / "x"
         assert cli(["simulate", "santa-fe", flag, value, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_runaway_wake_rate_exits_before_running(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: 1\nsession: 10s\n"
+                       "agents: {zi_market: {count: 1, wake_rate: 1.0e+9}}\n")
+        out = tmp_path / "x"
+        started = time.perf_counter()
+        assert cli(["simulate", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert time.perf_counter() - started < 30  # running it would take hours
+        assert "expected agent wakeups" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", ["santa-fe", "prime"])
+    def test_presets_at_one_hour_pass_the_cap(self, tmp_path, monkeypatch, preset):
+        # the session is not run: the runner stand-in only records the config
+        seen = []
+
+        def record(config, out_dir):
+            seen.append(config)
+            return runner.RunResult(out_dir=out_dir, stats=RunStats(0, 0, 0, 0, 0))
+
+        monkeypatch.setattr(runner, "run_simulation", record)
+        out = tmp_path / "x"
+        assert cli(["simulate", preset, "--session", "1h", "--out", str(out)]) == EXIT_OK
+        assert [c.session_ns for c in seen] == [3600 * 10**9]
 
     def test_sub_nanosecond_session_exit_code(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -9,6 +9,7 @@ import yaml
 from primesim.config import (
     _TYPES,
     GROUPS,
+    MAX_EXPECTED_WAKEUPS,
     ConstantOracle,
     TechnicalGroup,
     ZiLimitGroup,
@@ -208,6 +209,45 @@ class TestFieldValidation:
             replace(config, seed=-3)
         with pytest.raises(ConfigError, match="oracle"):
             replace(config, oracle=None)
+
+
+RUNAWAY = """
+seed: 1
+session: 10s
+agents:
+  zi_market: {count: 1, wake_rate: 1.0e+9}
+"""
+
+
+class TestExpectedWakeupCap:
+    def test_runaway_rate_rejected(self):
+        with pytest.raises(ConfigError, match="expected agent wakeups"):
+            loads_config(RUNAWAY)
+
+    def test_cap_is_inclusive(self):
+        # one agent at 1e8 wakeups/s: 10 s is exactly the cap, 11 s is past it
+        at_cap = loads_config(RUNAWAY.replace("1.0e+9", "1.0e+8"))
+        assert at_cap.zi_market.wake_rate * at_cap.session_ns / 1e9 == MAX_EXPECTED_WAKEUPS
+        with pytest.raises(ConfigError, match="exceed the cap"):
+            replace(at_cap, session_ns=11 * 10**9)
+
+    def test_sums_over_agents_and_groups(self):
+        # 4e8 + 4e8 + 3e8 expected wakeups: no group alone passes the cap
+        config = RUNAWAY.replace(
+            "  zi_market: {count: 1, wake_rate: 1.0e+9}",
+            "  zi_limit: {count: 400, wake_rate: 1.0e+5}\n"
+            "  zi_market: {count: 400, wake_rate: 1.0e+5}\n"
+            "  trend: {count: 300, wake_rate: 1.0e+5}")
+        with pytest.raises(ConfigError, match="exceed the cap"):
+            loads_config(config)
+        assert loads_config(config.replace("count: 300", "count: 200")).census()["trend"] == 200
+
+    @pytest.mark.parametrize("name", ["santa-fe", "prime"])
+    def test_presets_at_one_hour_load(self, name):
+        config = load_preset(name)
+        assert config.session_ns == 3600 * 10**9
+        with pytest.raises(ConfigError, match="exceed the cap"):
+            replace(config, session_ns=10**6 * config.session_ns)
 
 
 class TestRoundTrip:

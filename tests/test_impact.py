@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from primesim.analysis import impact_report, mid_series_at, time_averaged_mid
-from primesim.book import Side, Trade
 from primesim.config import load_preset
 from primesim.errors import NumericalError
 from primesim.impact import (
@@ -55,9 +54,7 @@ def make_samples(q, y, prev_sign=None, q_net=None, t=None):
 
 def make_tape(rows):
     """A trade tape from (ts, price, qty, sign) rows."""
-    return TradeTape(Trade(ts=ts, price=price, qty=qty, maker_order=0, taker_agent=0,
-                           aggressor=Side.BID if sign > 0 else Side.ASK)
-                     for ts, price, qty, sign in rows)
+    return TradeTape((ts, price, qty, sign, 0, 0) for ts, price, qty, sign in rows)
 
 
 # ---------------------------------------------------------------- resampling

@@ -8,6 +8,8 @@ import pytest
 from primesim.book import OrderBook, Side
 from primesim.kernel import Simulation, agent_stream, next_poisson_wakeup
 
+from reference import quote_rows, tape_rows
+
 
 class FixedGapAgent:
     """Deterministic clock: wakes every `gap` ns and counts wakeups."""
@@ -104,7 +106,7 @@ class TestRunUntil:
             for aid in range(4):
                 sim.register(CoinMarketAgent(aid, agent_stream(seed, aid)))
             sim.run_until(int(0.5e9))
-            return sim.trades
+            return tape_rows(sim.trades)
 
         assert run(9) == run(9)
         assert run(9) != run(10)
@@ -145,11 +147,11 @@ class TestStreams:
         book = OrderBook()
         book.seed_linear(100, 5, 1)
         sim = Simulation(book)
-        assert sim.quotes == [(0, 99, 101)]
+        assert quote_rows(sim.quotes) == [(0, 99, 101)]
         sim.place_limit(0, Side.BID, 99, 1)  # joins an existing level: no change
         assert len(sim.quotes) == 1
         sim.place_limit(0, Side.BID, 100, 1)
-        assert sim.quotes[-1] == (0, 100, 101)
+        assert quote_rows(sim.quotes) == [(0, 99, 101), (0, 100, 101)]
 
     def test_mid_lookup_carries_forward(self):
         book = OrderBook()
@@ -175,11 +177,16 @@ def brute_force_mid2x(rows, t):
 
 class TestQuoteLog:
     def random_session(self, seed):
-        # starts empty at t=100 so early rows are one-sided and t < 100 has no
-        # quote; several actions share each timestamp
+        """A session of random actions and the top-of-book changes seen in it.
+
+        It starts empty at t=100 so early rows are one-sided and t < 100 has
+        no quote; several actions share each timestamp. The changes are read
+        off the book after every action, independently of the quote log.
+        """
         rng = np.random.default_rng(seed)
         sim = Simulation(OrderBook(), start=100)
         live = []
+        changes = [(100, None, None)]
         for step in range(3000):
             sim.now = 100 + 7 * (step // 4)
             roll = rng.random()
@@ -191,12 +198,14 @@ class TestQuoteLog:
                 sim.place_market(int(rng.integers(3)), side, int(rng.integers(1, 4)))
             elif live:
                 sim.cancel(live.pop(int(rng.integers(len(live)))))
-        return sim
+            if (sim.book.best_bid, sim.book.best_ask) != changes[-1][1:]:
+                changes.append((sim.now, sim.book.best_bid, sim.book.best_ask))
+        return sim, changes
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mid2x_at_matches_brute_force(self, seed):
-        sim = self.random_session(seed)
-        rows = list(sim.quotes)
+        sim, _ = self.random_session(seed)
+        rows = quote_rows(sim.quotes)
         times = [ts for ts, _, _ in rows]
         assert rows[0] == (100, None, None)
         assert any((bid is None) != (ask is None) for _, bid, ask in rows)  # one-sided
@@ -213,19 +222,19 @@ class TestQuoteLog:
         sim.place_limit(0, Side.ASK, 101, 1)
         sim.now = 10
         sim.place_market(1, Side.BID, 1)
-        assert sim.quotes[-1] == (10, 99, None)
+        assert quote_rows(sim.quotes)[-1] == (10, 99, None)
         assert sim.mid2x_at(10) == 200
         assert list(sim.quotes.mid2x) == [0, 0, 200, 200]
 
-    def test_rows_and_slices(self):
-        sim = self.random_session(3)
-        rows = list(sim.quotes)
-        assert len(sim.quotes) == len(rows)
-        assert [sim.quotes[i] for i in range(-3, 3)] == rows[-3:] + rows[:3]
-        assert sim.quotes[5:9] == rows[5:9]
-        assert sim.quotes == rows and sim.quotes != rows[:-1]
-        with pytest.raises(IndexError):
-            sim.quotes[len(rows)]
+    def test_one_row_per_top_of_book_change(self):
+        sim, changes = self.random_session(3)
+        assert len(sim.quotes) == len(changes) > 100
+        assert quote_rows(sim.quotes) == changes
+        mids, mid = [], 0
+        for _, bid, ask in changes:
+            mid = bid + ask if bid is not None and ask is not None else mid
+            mids.append(mid)
+        assert sim.quotes.column("mid2x").tolist() == mids
 
 
 class TestTradeTape:
@@ -238,9 +247,8 @@ class TestTradeTape:
             sim.now = step
             fills += sim.place_market(step % 3, Side.BID if step % 2 else Side.ASK, 3).trades
         assert len(sim.trades) == len(fills) > 0
-        assert list(sim.trades) == fills
-        assert sim.trades[-1] == fills[-1] and sim.trades[:4] == fills[:4]
-        assert {t.maker_order for t in sim.trades} == {t.maker_order for t in fills}
+        assert all(type(fill) is tuple for fill in fills)
+        assert tape_rows(sim.trades) == fills
 
     def test_run_stats_traded_qty_matches_tape(self):
         book = OrderBook()
@@ -250,4 +258,4 @@ class TestTradeTape:
             sim.register(CoinMarketAgent(aid, agent_stream(2, aid)))
         stats = sim.run_until(int(0.2e9))
         assert stats.n_trades == len(sim.trades) > 0
-        assert stats.traded_qty == sum(t.qty for t in sim.trades) == book.traded_qty
+        assert stats.traded_qty == sim.trades.column("qty").sum() == book.traded_qty

@@ -22,6 +22,8 @@ from primesim.runner import (
 )
 from primesim.tradeio import read_summary
 
+from reference import quote_rows
+
 NS = 10**9
 
 SMALL_SIM = """
@@ -129,7 +131,7 @@ class TestRunSimulation:
         config = loads_config(SMALL_SIM)
         result = run_simulation(config, tmp_path / "run")
         _, quotes = load_run(result.out_dir)
-        for _, bid, ask in quotes:
+        for _, bid, ask in quote_rows(quotes):
             if bid is not None and ask is not None:
                 assert bid < ask
 
@@ -139,7 +141,7 @@ class TestEcologies:
         config = loads_config(PRIME_SIM)
         sim = build_simulation(config)
         stats = sim.run_until(config.session_ns)
-        buys = sum(1 for t in sim.trades if t.aggressor.value == "B")
+        buys = (sim.trades.column("sign") > 0).sum()
         assert abs(buys / stats.n_trades - 0.5) < 0.02
 
     def test_prime_pull_to_fundamental(self):
@@ -161,9 +163,9 @@ class TestEcologies:
         spreads, depths = [], []
         for k in range(1, 81):
             sim.run_until(k * 30 * NS)
-            l1 = sim.book.l1()
-            assert l1.spread is not None
-            spreads.append(l1.spread)
+            book = sim.book
+            assert book.mid2x is not None  # both sides quote
+            spreads.append(book.best_ask - book.best_bid)
             depths.append(sim.book.resting_qty())
         h2_spread = np.mean(spreads[40:])
         q3_spread = np.mean(spreads[40:60])

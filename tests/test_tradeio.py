@@ -2,7 +2,6 @@
 
 import pytest
 
-from primesim.book import Side, Trade
 from primesim.errors import DataError
 from primesim.kernel import QuoteLog, TradeTape
 from primesim.tradeio import (
@@ -13,6 +12,8 @@ from primesim.tradeio import (
     write_summary,
     write_trades,
 )
+
+from reference import quote_rows, tape_rows
 
 
 def write_lines(path, lines):
@@ -36,8 +37,7 @@ class TestReadTrades:
         write_lines(path, ["ts,price,qty,aggressor,taker_agent", "10,100,2,B,7", "20,101,1,S,8"])
         tape = read_trades(path).records
         assert list(tape.maker_order) == list(tape.taker_agent) == [-1, -1]
-        assert tape[0] == Trade(ts=10, price=100, qty=2, aggressor=Side.BID,
-                                maker_order=-1, taker_agent=-1)
+        assert tape_rows(tape)[0] == (10, 100, 2, 1, -1, -1)
         assert list(tape.column("price")) == [100, 101]
 
     def test_out_of_int64_range_is_malformed(self, tmp_path):
@@ -89,8 +89,7 @@ class TestReadTrades:
         assert dump.n_malformed == 2
 
     def test_simulator_tape_round_trip(self, tmp_path):
-        trades = [Trade(ts=5, price=100, qty=2, aggressor=Side.BID, maker_order=1, taker_agent=3),
-                  Trade(ts=9, price=99, qty=1, aggressor=Side.ASK, maker_order=2, taker_agent=4)]
+        trades = TradeTape([(5, 100, 2, 1, 1, 3), (9, 99, 1, -1, 2, 4)])
         path = tmp_path / "tape.csv"
         write_trades(path, trades)
         dump = read_trades(path)
@@ -103,9 +102,8 @@ class TestReadTrades:
             read_trades(tmp_path / "absent.csv")
 
     def test_tape_columns_written_as_rows(self, tmp_path):
-        tape = TradeTape([
-            Trade(ts=5, price=100, qty=2, aggressor=Side.BID, maker_order=1, taker_agent=3),
-            Trade(ts=9, price=99, qty=1, aggressor=Side.ASK, maker_order=2, taker_agent=4)])
+        # fill rows in column order: ts, price, qty, sign, maker_order, taker_agent
+        tape = TradeTape([(5, 100, 2, 1, 1, 3), (9, 99, 1, -1, 2, 4)])
         write_trades(tmp_path / "tape.csv", tape)
         assert (tmp_path / "tape.csv").read_text().splitlines() == [
             "ts,price,qty,aggressor,taker_agent", "5,100,2,B,3", "9,99,1,S,4"]
@@ -115,10 +113,10 @@ class TestL1File:
     def test_round_trip_with_absent_sides(self, tmp_path):
         rows = [(0, 99, 101), (5, None, 101), (9, 98, None), (12, 97, 100)]
         path = tmp_path / "l1.csv"
-        write_l1(path, rows)
+        write_l1(path, QuoteLog(rows))
         quotes = read_l1(path)
         assert isinstance(quotes, QuoteLog)
-        assert quotes == [(0, 99, 101), (5, None, 101), (9, 98, None), (12, 97, 100)]
+        assert quote_rows(quotes) == [(0, 99, 101), (5, None, 101), (9, 98, None), (12, 97, 100)]
         assert list(quotes.mid2x) == [200, 200, 200, 197]
 
     def test_quote_log_round_trip(self, tmp_path):
@@ -126,7 +124,7 @@ class TestL1File:
         log = QuoteLog(rows)
         assert list(log.mid2x) == [0, 0, 200, 200, 197]
         write_l1(tmp_path / "l1.csv", log)
-        assert read_l1(tmp_path / "l1.csv") == rows
+        assert quote_rows(read_l1(tmp_path / "l1.csv")) == rows
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "l1.csv"
