@@ -31,7 +31,7 @@ class Side(Enum):
         return 1 if self is Side.BID else -1
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LimitOrder:
     id: int
     agent: int
@@ -162,7 +162,6 @@ class OrderBook:
             else:
                 order.qty = remaining
                 self._rest(order)
-        assert not self.crossed
         return trades
 
     def submit_market(self, agent: int, side: Side, qty: int, ts: int = 0) -> MarketResult:

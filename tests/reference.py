@@ -6,13 +6,16 @@ same economics: price-time priority, skip-own-agent matching, market-order
 remainder discard, and discard of limit remainders that could only cross the
 submitting agent's own resting orders.
 
-Also holds the row type the tests compare fills as, and readers that turn the
-simulator's column logs back into rows.
+Also holds the row type the tests compare fills as, readers that turn the
+simulator's column logs back into rows, and ``BlockRng``, the array-block
+random facade that ``primesim.rng.BatchedRng`` must reproduce value for value.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 from primesim.book import Side
 
@@ -156,3 +159,42 @@ class ReferenceBook:
                 for p in prices
             ]
         return out
+
+
+class BlockRng:
+    """The scalar draw facade as plain array blocks: each block is drawn and held whole."""
+
+    def __init__(self, generator: np.random.Generator, block: int = 512):
+        self._gen = generator
+        self._block = block
+        self._random = np.empty(0)
+        self._random_pos = 0
+        self._int_buffers: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+        self._exp_buffers: dict[float, tuple[np.ndarray, int]] = {}
+
+    def random(self) -> float:
+        if self._random_pos >= self._random.size:
+            self._random = self._gen.random(self._block)
+            self._random_pos = 0
+        value = self._random[self._random_pos]
+        self._random_pos += 1
+        return float(value)
+
+    def integers(self, low: int, high: int, size: int | None = None):
+        if size is not None:
+            return self._gen.integers(low, high, size=size)
+        key = (low, high)
+        buf, pos = self._int_buffers.get(key, (None, 0))
+        if buf is None or pos >= buf.size:
+            buf = self._gen.integers(low, high, size=self._block)
+            pos = 0
+        self._int_buffers[key] = (buf, pos + 1)
+        return int(buf[pos])
+
+    def exponential(self, scale: float) -> float:
+        buf, pos = self._exp_buffers.get(scale, (None, 0))
+        if buf is None or pos >= buf.size:
+            buf = self._gen.exponential(scale, size=self._block)
+            pos = 0
+        self._exp_buffers[scale] = (buf, pos + 1)
+        return float(buf[pos])

@@ -1,0 +1,106 @@
+"""BatchedRng against the array-block reference: same values, same stream, less memory."""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import BlockRng
+
+from primesim.rng import BLOCK, BatchedRng
+
+# One entry per kind of scalar draw the agents make, plus the size= pass-through
+# a DarpProcess makes. The integer ranges cover a negative low (as oracle.observe
+# draws) and a span wider than 2**32, which numpy draws from 64 bits, not 32.
+KINDS = {
+    "random": lambda r, n: r.random(),
+    "observe_noise": lambda r, n: r.integers(-5, 6),
+    "band": lambda r, n: r.integers(1, 101),
+    "wide": lambda r, n: r.integers(-3, 2**40),
+    "wakeup": lambda r, n: r.exponential(2.5),
+    "wakeup_slow": lambda r, n: r.exponential(40.0),
+    "darp_bits": lambda r, n: r.integers(0, 2, size=n),
+}
+SCALAR_KINDS = [k for k in KINDS if k != "darp_bits"]
+
+
+def run_script(rng, script):
+    """Every value the script draws, in call order, as (kind, value) pairs."""
+    out = []
+    for kind, n in script:
+        draw = KINDS[kind]
+        for _ in range(1 if kind == "darp_bits" else n):
+            out.append((kind, draw(rng, n)))
+    return out
+
+
+def topped_up(script, draws=3 * BLOCK + 1, step=37):
+    """The script, then interleaved runs of each scalar kind until each crossed three blocks."""
+    counts = dict.fromkeys(SCALAR_KINDS, 0)
+    for kind, n in script:
+        if kind in counts:
+            counts[kind] += n
+    script = list(script)
+    while any(c < draws for c in counts.values()):
+        for kind in SCALAR_KINDS:
+            n = min(step, max(0, draws - counts[kind]))
+            if n:
+                script.append((kind, n))
+                counts[kind] += n
+    return script
+
+
+segments = st.lists(st.tuples(st.sampled_from(sorted(KINDS)), st.integers(1, 300)), max_size=30)
+
+
+class TestMatchesBlockReference:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), script=segments)
+    def test_same_values_and_end_state(self, seed, script):
+        script = topped_up(script)
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = run_script(BatchedRng(gen), script)
+        want = run_script(BlockRng(ref_gen), script)
+        assert len(got) == len(want)
+        for (kind, a), (_, b) in zip(got, want):
+            assert type(a) is type(b), kind
+            if kind == "darp_bits":
+                np.testing.assert_array_equal(a, b)
+            else:
+                assert a == b, kind
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_blocks_are_drawn_when_the_reference_draws_them(self):
+        gen, ref_gen = np.random.default_rng(7), np.random.default_rng(7)
+        rng, ref = BatchedRng(gen), BlockRng(ref_gen)
+        for i in range(2 * BLOCK + 1):
+            assert rng.integers(-5, 6) == ref.integers(-5, 6)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state, i
+
+
+def retained_bytes(factory, n=20):
+    """Mean bytes one facade and its stream keep after drawing from all three kinds."""
+
+    def draw_all(rng):
+        for _ in range(BLOCK // 2 + 1):
+            rng.random()
+            rng.integers(1, 101)
+            rng.exponential(2.5)
+
+    draw_all(factory(np.random.default_rng(0)))   # one-time allocations stay outside
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rngs = [factory(np.random.default_rng(seed)) for seed in range(1, n + 1)]
+        for rng in rngs:
+            draw_all(rng)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / n
+
+
+class TestMemory:
+    def test_retains_at_most_half_of_the_block_reference(self):
+        batched, blocks = retained_bytes(BatchedRng), retained_bytes(BlockRng)
+        assert batched <= blocks / 2, (batched, blocks)
