@@ -3,7 +3,7 @@
 from .book import LimitOrder, MarketResult, OrderBook, Side
 from .calibrate import TuneResult, tune_darp
 from .config import RunConfig, load_config, load_preset
-from .darp import DarpParams, DarpProcess, generate_signs
+from .darp import DarpParams, generate_signs
 from .impact import (
     BucketStats,
     DecayKernel,
@@ -29,7 +29,7 @@ from .runner import build_simulation, replay, run_simulation
 __version__ = "0.1.0"
 
 __all__ = [
-    "BucketStats", "DarpParams", "DarpProcess", "DecayKernel",
+    "BucketStats", "DarpParams", "DecayKernel",
     "DeltaFit", "LimitOrder", "MarketResult", "OrderBook",
     "PowerLawFit", "PriceSeries", "RunConfig", "RunStats", "Samples", "Side", "Simulation",
     "TuneResult", "Windows", "adjust", "bucket_means",

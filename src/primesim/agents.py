@@ -27,8 +27,9 @@ import numpy as np
 
 from .book import Side
 from .config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
-from .darp import DarpParams, DarpProcess
+from .darp import DarpParams, generate_signs
 from .kernel import next_poisson_wakeup
+from .rng import BLOCK
 
 
 class Agent:
@@ -98,16 +99,26 @@ class ZiMarketAgent(Agent):
 
 
 class DarpMarketAgent(Agent):
-    """Market agent on a darp-mode ZiMarketGroup: signs carry DAR(p) long memory."""
+    """Market agent on a darp-mode ZiMarketGroup: signs carry DAR(p) long memory.
+
+    Signs come from ``generate_signs`` ``BLOCK`` at a time, each block
+    continuing from the last n signs of the one before.
+    """
 
     def __init__(self, agent_id: int, group: ZiMarketGroup, rng: np.random.Generator):
         super().__init__(agent_id, group, rng)
-        darp = DarpParams(p=group.darp_p, gamma=group.darp_gamma, n=group.darp_n,
-                          literal_branch=group.darp_literal_branch)
-        self.process = DarpProcess(darp, rng)
+        self.params = DarpParams(p=group.darp_p, gamma=group.darp_gamma, n=group.darp_n,
+                                 literal_branch=group.darp_literal_branch)
+        self.history = rng.integers(0, 2, size=self.params.n) * 2 - 1  # oldest first
+        self._pending: list[int] = []  # signs not yet used, next one last
 
     def wakeup(self, sim) -> None:
-        side = Side.BID if self.process.step() > 0 else Side.ASK
+        if not self._pending:
+            block = generate_signs(self.params, BLOCK, self.rng, self.history)
+            # darp_n may exceed BLOCK, so the history is cut from both
+            self.history = np.concatenate((self.history, block))[-self.params.n:]
+            self._pending = block[::-1].tolist()
+        side = Side.BID if self._pending.pop() > 0 else Side.ASK
         sim.place_market(self.agent_id, side, self.group.size)
 
 

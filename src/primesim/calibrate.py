@@ -52,7 +52,7 @@ def tune_darp(
     p_cands = rng.uniform(p_box[0], p_box[1], size=budget)
     g_cands = rng.uniform(gamma_box[0], gamma_box[1], size=budget)
 
-    best: TuneResult | None = None
+    best = None  # (score, p, gamma, fit) of the lowest score so far
     skipped = 0
     for i in range(budget):
         params = DarpParams(p=float(p_cands[i]), gamma=float(g_cands[i]), n=n_history)
@@ -65,10 +65,10 @@ def tune_darp(
             skipped += 1
             continue
         score = (fit.alpha - target.alpha) ** 2 + (math.log(fit.c) - math.log(target.c)) ** 2
-        if best is None or score < best.score:
-            best = TuneResult(p=params.p, gamma=params.gamma, fit=fit, score=score,
-                              n_evaluated=budget, n_skipped=0)
+        if best is None or score < best[0]:
+            best = (score, params.p, params.gamma, fit)
     if best is None:
         raise NumericalError("no candidate produced a power-law-fittable sign ACF")
-    return TuneResult(p=best.p, gamma=best.gamma, fit=best.fit, score=best.score,
+    score, p, gamma, fit = best
+    return TuneResult(p=p, gamma=gamma, fit=fit, score=score,
                       n_evaluated=budget, n_skipped=skipped)

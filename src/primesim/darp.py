@@ -2,14 +2,13 @@
 
 Each step picks a parent lag l in {1..n} with probability proportional to
 l**((gamma-3)/2), copies the parent sign with probability p (flips it
-otherwise), emits the new sign, and shifts it into the front of the history.
-With p > 1/2 the emitted +/-1 stream has slowly decaying positive
+otherwise), and emits the new sign, which becomes the newest entry of the
+history. With p > 1/2 the emitted +/-1 stream has slowly decaying positive
 autocorrelation, the meta-order signature in trade-sign series.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,38 +34,22 @@ def lag_distribution(gamma: float, n: int) -> np.ndarray:
     return w / w.sum()
 
 
-class DarpProcess:
-    """Stateful stepper used by the market agent; emits +1 (buy) or -1 (sell)."""
+def generate_signs(params: DarpParams, length: int, rng: np.random.Generator,
+                   history: np.ndarray | None = None) -> np.ndarray:
+    """`length` signs in {-1, +1} (int8) that follow the n signs of `history`.
 
-    def __init__(self, params: DarpParams, rng: np.random.Generator):
-        self.params = params
-        self.rng = rng
-        self._cum = np.cumsum(lag_distribution(params.gamma, params.n))
-        bits = rng.integers(0, 2, size=params.n)
-        self.history: deque[int] = deque((int(b) for b in bits), maxlen=params.n)
-
-    def step(self) -> int:
-        lag_index = int(np.searchsorted(self._cum, self.rng.random(), side="right"))
-        lag_index = min(lag_index, self.params.n - 1)  # guard the cum[-1] < draw edge
-        parent = self.history[lag_index]
-        copy = self.rng.random() < self.params.p
-        if self.params.literal_branch:
-            copy = not copy
-        bit = parent if copy else 1 - parent
-        self.history.appendleft(bit)
-        return 1 if bit else -1
-
-
-def generate_signs(params: DarpParams, length: int, rng: np.random.Generator) -> np.ndarray:
-    """Array form of the process: `length` signs in {-1, +1}.
-
-    All randomness is pre-drawn so the sequential pass is a cheap index chase;
-    used by the Monte-Carlo tuner where many long streams are needed.
+    `history` holds the n signs before the first one, oldest first; None draws
+    them as n fair bits. All randomness is pre-drawn, in this order: the
+    history bits, `length` lag uniforms, then `length` flip uniforms, so the
+    sequential pass is a cheap index chase. A stream cut into blocks continues
+    exactly when each block is given the last n signs before it.
     """
     n = params.n
+    if history is not None and len(history) != n:
+        raise ValueError(f"history must hold n={n} signs, got {len(history)}")
     cum = np.cumsum(lag_distribution(params.gamma, n))
     path = np.empty(n + length, dtype=np.int8)
-    path[:n] = rng.integers(0, 2, size=n)
+    path[:n] = rng.integers(0, 2, size=n) if history is None else np.asarray(history) > 0
     lags = np.searchsorted(cum, rng.random(length), side="right") + 1
     np.clip(lags, 1, n, out=lags)
     if params.literal_branch:
@@ -75,4 +58,4 @@ def generate_signs(params: DarpParams, length: int, rng: np.random.Generator) ->
         flips = rng.random(length) >= params.p
     for t in range(length):
         path[n + t] = path[n + t - lags[t]] ^ flips[t]
-    return (path[n:].astype(np.int8) * 2 - 1).astype(np.int8)
+    return path[n:] * 2 - 1

@@ -181,6 +181,8 @@ class Simulation:
 
     def run_until(self, end: int) -> RunStats:
         """Dispatch events in (time, seq) order through the session horizon."""
+        if end < self.now:
+            raise ValueError(f"cannot run until {end}, before now={self.now}")
         heapq.heappush(self._heap, (end, _SESSION_END_SEQ, -1))
         heap = self._heap
         agents = self._agents

@@ -7,9 +7,9 @@ integers, exponential) but takes the values from vectorized draws.
 Determinism contract: each kind of draw (``random``, ``integers`` per
 ``(low, high)``, ``exponential`` per scale) takes its values from the stream
 in blocks of ``BLOCK`` draws, and the next block of a kind is drawn at the call
-that finds the previous one used up. ``integers(..., size=k)`` passes straight
-through to the stream. Changing ``BLOCK`` re-splits every agent stream and so
-changes every simulated output.
+that finds the previous one used up. A sized draw, ``random(size=k)`` or
+``integers(..., size=k)``, passes straight through to the stream. Changing
+``BLOCK`` re-splits every agent stream and so changes every simulated output.
 
 A block is reserved on the stream, not held: only its first ``_CHUNK`` values
 and the generator state after them are kept, and the rest is read back
@@ -85,7 +85,9 @@ class BatchedRng:
         self._ints: dict[tuple[int, int], _Reservation] = {}
         self._exps: dict[float, _Reservation] = {}
 
-    def random(self) -> float:
+    def random(self, size: int | None = None):
+        if size is not None:
+            return self._gen.random(size)
         r = self._random
         pos = r.pos
         if pos == _CHUNK:

@@ -7,17 +7,21 @@ remainder discard, and discard of limit remainders that could only cross the
 submitting agent's own resting orders.
 
 Also holds the row type the tests compare fills as, readers that turn the
-simulator's column logs back into rows, and ``BlockRng``, the array-block
-random facade that ``primesim.rng.BatchedRng`` must reproduce value for value.
+simulator's column logs back into rows, ``BlockRng``, the array-block random
+facade that ``primesim.rng.BatchedRng`` must reproduce value for value, and
+``darp_signs``, a per-sign DAR(p) loop that ``primesim.darp.generate_signs``
+and the darp market agent must reproduce sign for sign.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
 
 from primesim.book import Side
+from primesim.darp import lag_distribution
 
 
 class Fill(NamedTuple):
@@ -172,7 +176,9 @@ class BlockRng:
         self._int_buffers: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
         self._exp_buffers: dict[float, tuple[np.ndarray, int]] = {}
 
-    def random(self) -> float:
+    def random(self, size: int | None = None):
+        if size is not None:
+            return self._gen.random(size)
         if self._random_pos >= self._random.size:
             self._random = self._gen.random(self._block)
             self._random_pos = 0
@@ -198,3 +204,29 @@ class BlockRng:
             pos = 0
         self._exp_buffers[scale] = (buf, pos + 1)
         return float(buf[pos])
+
+
+def darp_signs(params, blocks: int, block: int, rng: np.random.Generator) -> list[int]:
+    """``blocks * block`` DAR(p) signs, one step at a time over a newest-first history.
+
+    Draws n fair bits, then per block all lag uniforms and then all flip
+    uniforms. A step takes the lag l with cum[l-2] <= u < cum[l-1] (the last
+    lag if u reaches cum[-1]) and copies the sign l steps back unless flipped.
+    """
+    n = params.n
+    cum = list(np.cumsum(lag_distribution(params.gamma, n)))
+    history = [int(b) for b in reversed(rng.integers(0, 2, size=n))]
+    signs = []
+    for _ in range(blocks):
+        lag_u = rng.random(block)
+        flip_u = rng.random(block)
+        for u, f in zip(lag_u, flip_u):
+            parent = history[min(bisect_right(cum, u), n - 1)]
+            copy = f < params.p
+            if params.literal_branch:
+                copy = not copy
+            bit = parent if copy else 1 - parent
+            history.insert(0, bit)
+            del history[n:]
+            signs.append(1 if bit else -1)
+    return signs

@@ -13,9 +13,12 @@ from primesim.agents import (
 from primesim.book import LimitOrder, OrderBook, Side
 from primesim.config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
 from primesim.errors import ConfigError
-from primesim.darp import DarpParams, DarpProcess, generate_signs, lag_distribution
+from primesim.darp import DarpParams, generate_signs, lag_distribution
 from primesim.impact import order_sign_acf
 from primesim.oracle import constant_series, observe
+from primesim.rng import BLOCK, BatchedRng
+
+from reference import darp_signs
 
 
 class StubSim:
@@ -191,11 +194,14 @@ class TestDarp:
 
     def test_copy_probability_one_keeps_all_ones(self):
         params = DarpParams(p=1.0, gamma=1.5, n=10)
-        process = DarpProcess(params, np.random.default_rng(0))
-        process.history = type(process.history)([1] * 10, maxlen=10)
-        signs = [process.step() for _ in range(200)]
-        assert all(s == 1 for s in signs)
-        assert all(b == 1 for b in process.history)
+        signs = generate_signs(params, 200, np.random.default_rng(0), history=np.ones(10))
+        assert np.all(signs == 1)
+
+    @pytest.mark.parametrize("size", [1, 9, 11])
+    def test_history_of_the_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match="history"):
+            generate_signs(DarpParams(p=0.9, gamma=1.5, n=10), 20, np.random.default_rng(0),
+                           history=np.ones(size))
 
     def test_half_copy_probability_gives_null_acf(self):
         signs = generate_signs(DarpParams(p=0.5, gamma=1.5, n=50), 100_000,
@@ -225,10 +231,30 @@ class TestDarp:
         group = ZiMarketGroup(count=1, wake_rate=1.0, mode="darp", darp_p=1.0,
                               darp_gamma=1.5, darp_n=5)
         agent = DarpMarketAgent(0, group, np.random.default_rng(6))
-        agent.process.history = type(agent.process.history)([1] * 5, maxlen=5)
-        for _ in range(20):
+        agent.history = np.ones(5, dtype=np.int8)
+        for _ in range(BLOCK + 20):
             agent.wakeup(sim)
         assert all(side is Side.BID for side, _ in sim.placed_markets)
+        assert np.all(agent.history == 1)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    @pytest.mark.parametrize("n", [1, 50, 600])
+    @pytest.mark.parametrize("gamma", [1.5, 2.5])
+    @pytest.mark.parametrize("p", [0.9, 0.55])
+    def test_agent_signs_are_generate_signs_in_blocks(self, p, gamma, n, literal):
+        group = ZiMarketGroup(count=1, wake_rate=1.0, mode="darp", darp_p=p, darp_gamma=gamma,
+                              darp_n=n, darp_literal_branch=literal)
+        params = DarpParams(p=p, gamma=gamma, n=n, literal_branch=literal)
+        seed = 11 + n
+        sim = StubSim()
+        agent = DarpMarketAgent(0, group, BatchedRng(np.random.default_rng(seed)))
+        assert agent.params == params
+        for _ in range(3 * BLOCK):
+            agent.wakeup(sim)
+        signs = [side.sign for side, _ in sim.placed_markets]
+        first = generate_signs(params, BLOCK, np.random.default_rng(seed))
+        assert signs[:BLOCK] == first.tolist()
+        assert signs == darp_signs(params, 3, BLOCK, np.random.default_rng(seed))
 
 
 class TestPrimeMarket:

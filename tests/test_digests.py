@@ -1,16 +1,20 @@
 """Cross-version determinism: pinned SHA-256 digests of short preset runs.
 
-Each digest is of a file written by ``primesim simulate <preset> --session 5m
---seed 1``. A change that alters any replay file fails here; a change meant
-to alter outputs re-pins these digests and says so.
+Each preset digest is of a file written by ``primesim simulate <preset>
+--session 5m --seed 1``; further pins cover a small darp-mode run, the
+analysis of the ``prime`` run, and the tuner's ``generate_signs`` streams. A
+change that alters any of them fails here; a change meant to alter outputs
+re-pins these digests and says so.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from primesim.cli import cli
 from primesim.config import dump_config, load_preset
+from primesim.darp import DarpParams, generate_signs
 
 PINNED = {
     "prime": {
@@ -51,9 +55,9 @@ agents:
 """
 
 GUARD_PINNED = {
-    "trades.csv": "8e3a0bfb02b8e0ba7cc6bca8e134472d7591201056fbaf3bb17968b985e60fd9",
-    "l1.csv": "ec04aaff177f43ffb1b350ad7883769b38bd6dc5be0f5556557e2e31696f614d",
-    "summary.txt": "440246c39e9a93d504c257db939f3c714ad55661368bfe9df7ca8f6a5c7b821f",
+    "trades.csv": "98977e42939dd72e70a75b9a1f45e706f7e56ce868bed3c57f73f2056731e4da",
+    "l1.csv": "54519f12cac1d2ec9dc23f9d3994fb3709e7781f0b1dfda045afb214a74b2b3e",
+    "summary.txt": "2cbe80be1527097c43fa59e1dc1e25c384c7277180cdcf82c641c7923c903149",
 }
 
 
@@ -64,6 +68,22 @@ def test_darp_constant_oracle_run_matches_pinned_digests(tmp_path):
     assert cli(["simulate", str(config), "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GUARD_PINNED}
     assert got == GUARD_PINNED
+
+
+# generate_signs(params, 20_000, default_rng(seed)), the tuner's path, as int8 bytes.
+SIGNS_PINNED = [
+    (DarpParams(p=0.9, gamma=1.5, n=50), 1,
+     "ed78b326165dc95d405c413ae01f62b2463ebe55e1f1709454b4cadd0c17f5fe"),
+    (DarpParams(p=0.7, gamma=2.5, n=20, literal_branch=True), 2,
+     "b9c529764ea57ea40f2a1b4a66b1287b5f22e7e25cd4f6f6c340f5fdb0127504"),
+]
+
+
+@pytest.mark.parametrize("params, seed, digest", SIGNS_PINNED)
+def test_generate_signs_matches_pinned_digest(params, seed, digest):
+    signs = generate_signs(params, 20_000, np.random.default_rng(seed))
+    assert signs.dtype == np.int8
+    assert hashlib.sha256(signs.tobytes()).hexdigest() == digest
 
 
 # dump_config(load_preset(name)), byte for byte: the config.yaml a run

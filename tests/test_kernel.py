@@ -61,6 +61,16 @@ class TestScheduling:
         with pytest.raises(ValueError, match="before now"):
             sim.schedule_wakeup(0, 3)
 
+    def test_run_until_a_past_time_rejected_before_the_heap_moves(self):
+        sim = Simulation(OrderBook())
+        sim.register(RecordingAgent(0, gap=10**9, log=[]))
+        sim.run_until(10 * 10**9)
+        heap = list(sim._heap)
+        with pytest.raises(ValueError, match="before now"):
+            sim.run_until(5 * 10**9)
+        assert sim.now == 10 * 10**9
+        assert sim._heap == heap
+
     def test_equal_time_dispatch_in_seq_order(self):
         log = []
         sim = Simulation(OrderBook())

@@ -9,9 +9,10 @@ from reference import BlockRng
 
 from primesim.rng import BLOCK, BatchedRng
 
-# One entry per kind of scalar draw the agents make, plus the size= pass-through
-# a DarpProcess makes. The integer ranges cover a negative low (as oracle.observe
-# draws) and a span wider than 2**32, which numpy draws from 64 bits, not 32.
+# One entry per kind of scalar draw the agents make, plus the size= pass-throughs
+# a darp market agent makes: its history bits and its blocks of lag and flip
+# uniforms. The integer ranges cover a negative low (as oracle.observe draws)
+# and a span wider than 2**32, which numpy draws from 64 bits, not 32.
 KINDS = {
     "random": lambda r, n: r.random(),
     "observe_noise": lambda r, n: r.integers(-5, 6),
@@ -20,8 +21,10 @@ KINDS = {
     "wakeup": lambda r, n: r.exponential(2.5),
     "wakeup_slow": lambda r, n: r.exponential(40.0),
     "darp_bits": lambda r, n: r.integers(0, 2, size=n),
+    "darp_uniforms": lambda r, n: r.random(size=n),
 }
-SCALAR_KINDS = [k for k in KINDS if k != "darp_bits"]
+SIZED_KINDS = ("darp_bits", "darp_uniforms")
+SCALAR_KINDS = [k for k in KINDS if k not in SIZED_KINDS]
 
 
 def run_script(rng, script):
@@ -29,7 +32,7 @@ def run_script(rng, script):
     out = []
     for kind, n in script:
         draw = KINDS[kind]
-        for _ in range(1 if kind == "darp_bits" else n):
+        for _ in range(1 if kind in SIZED_KINDS else n):
             out.append((kind, draw(rng, n)))
     return out
 
@@ -64,7 +67,7 @@ class TestMatchesBlockReference:
         assert len(got) == len(want)
         for (kind, a), (_, b) in zip(got, want):
             assert type(a) is type(b), kind
-            if kind == "darp_bits":
+            if kind in SIZED_KINDS:
                 np.testing.assert_array_equal(a, b)
             else:
                 assert a == b, kind

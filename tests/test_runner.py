@@ -204,7 +204,7 @@ class TestEcologies:
         sim = build_simulation(config)
         darp_agents = [a for a in sim._agents.values() if isinstance(a, DarpMarketAgent)]
         assert len(darp_agents) == 1
-        assert darp_agents[0].process.params.p == 0.95
+        assert darp_agents[0].params.p == 0.95
         sim.run_until(config.session_ns)
         signs = sim.trades.column("sign")
         assert order_sign_acf(signs, max_lag=1)[0] > 0.1  # persistent flow reaches the tape
