@@ -29,6 +29,7 @@ from .book import Side
 from .config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
 from .darp import DarpParams, generate_signs
 from .kernel import next_poisson_wakeup
+from .oracle import observe
 from .rng import BLOCK
 
 
@@ -127,7 +128,7 @@ class PrimeMarketAgent(Agent):
     true price exceeds the mid."""
 
     def wakeup(self, sim) -> None:
-        observed = sim.observe(self.group.noise, self.rng)
+        observed = observe(sim.series, sim.now, self.group.noise, self.rng)
         mid2x = sim.book.mid2x
         if mid2x is None:
             buy = self.rng.random() <= 0.5

@@ -204,13 +204,10 @@ class OrderBook:
             raise ValueError("seeded bid prices would leave the tick grid")
         for d in range(1, half_width + 1):
             for side, price in ((Side.BID, start_price - d), (Side.ASK, start_price + d)):
-                order = LimitOrder(
+                self.submit_limit(LimitOrder(
                     id=self.new_order_id(), agent=SEEDER_AGENT,
                     side=side, price=price, qty=slope * d, ts=ts,
-                )
-                self._last_id = order.id
-                self.submitted_qty += order.qty
-                self._rest(order)
+                ))
 
     # --------------------------------------------------------------- internals
 

@@ -1,6 +1,6 @@
 """Command-line interface: simulate, analyze, tune-dar, replay.
 
-Exit codes: 0 success, 1 usage, 2 configuration, 3 data, 4 numerical failure.
+Exit codes: 0 success, 1 usage, 2 configuration, 3 data or unwritable output, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ _min_periods_opt = click.option("--min-periods", type=int, default=2,
 
 @analyze.command("impact")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--delta", type=float, default=None, help="Pin the impact exponent instead of fitting.")
-@click.option("--buckets", type=int, default=20,
+@click.option("--delta", type=click.FloatRange(min=0, min_open=True), default=None,
+              help="Pin the impact exponent instead of fitting.")
+@click.option("--buckets", type=click.IntRange(min=1), default=20,
               help="At most this many quantile buckets: windows of equal net volume "
                    "are never split, so counts differ by at most one only when no "
                    "values tie.")
@@ -112,8 +113,10 @@ def analyze_impact(inputs, delta, buckets, window, horizon, min_periods, out) ->
 
 @analyze.command("decay")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--delta", type=float, default=None, help="Impact exponent (fitted when omitted).")
-@click.option("--max-lag", type=int, default=impact.MAX_LAG, help="Kernel lag horizon in windows.")
+@click.option("--delta", type=click.FloatRange(min=0, min_open=True), default=None,
+              help="Impact exponent (fitted when omitted).")
+@click.option("--max-lag", type=click.IntRange(min=0), default=impact.MAX_LAG,
+              help="Kernel lag horizon in windows.")
 @_window_opt
 @_horizon_opt
 @_min_periods_opt
@@ -136,16 +139,17 @@ def analyze_decay(inputs, delta, max_lag, window, horizon, min_periods, out) -> 
 
 @analyze.command("acf")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--max-lag", type=int, default=impact.MAX_LAG, help="Largest lag to estimate.")
+@click.option("--max-lag", type=click.IntRange(min=1), default=impact.MAX_LAG,
+              help="Largest lag to estimate.")
 @_out_opt
 def analyze_acf(inputs, max_lag, out) -> None:
     """Order-sign autocorrelation of the trade tape and its power-law fit."""
-    if len(inputs) == 1 and Path(inputs[0]).is_dir():
-        trades, _ = runner.load_run(inputs[0])
-    elif len(inputs) in (1, 2):
-        trades = tradeio.read_trades(inputs[0]).records
-    else:
+    if len(inputs) > 2:
         raise click.UsageError("pass a run directory or TRADES_CSV [L1_CSV]")
+    path = Path(inputs[0])
+    if len(inputs) == 1 and path.is_dir():
+        path /= runner.TRADES_FILE
+    trades = tradeio.read_trades(path).records
     acf = impact.order_sign_acf(trades.column("sign"), max_lag=max_lag)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -160,9 +164,12 @@ def analyze_acf(inputs, max_lag, out) -> None:
 
 
 @root.command("tune-dar")
-@click.option("--target-alpha", type=float, required=True, help="Target ACF decay exponent.")
-@click.option("--target-c", type=float, required=True, help="Target ACF amplitude.")
-@click.option("--budget", type=int, default=200, help="Monte-Carlo candidates to draw.")
+@click.option("--target-alpha", type=click.FloatRange(min=0, min_open=True), required=True,
+              help="Target ACF decay exponent.")
+@click.option("--target-c", type=click.FloatRange(min=0, min_open=True), required=True,
+              help="Target ACF amplitude.")
+@click.option("--budget", type=click.IntRange(min=1), default=200,
+              help="Monte-Carlo candidates to draw.")
 @click.option("--seed", type=int, default=0, help="Search seed.")
 @click.option("--out", default=None, help="Optional CSV for the result.")
 def tune_dar(target_alpha, target_c, budget, seed, out) -> None:
@@ -201,7 +208,7 @@ def cli(argv: list[str]) -> int:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
     except (NumericalError, ValueError) as exc:

@@ -239,8 +239,6 @@ def fit_delta(
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples to fit delta, got {len(samples)}")
     q, y = samples.q, samples.y
-    if np.all(q == 0):
-        raise ValueError("all net volumes are zero; delta is unidentifiable")
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = delta_range

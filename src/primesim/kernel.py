@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .book import LimitOrder, MarketResult, OrderBook, Side
-from .oracle import PriceSeries, observe
 
 # Stream namespaces under the master seed.
 _AGENT_SPACE = 1
@@ -32,8 +31,6 @@ class RunStats:
     events_dispatched: int
     n_trades: int
     traded_qty: int
-    start: int
-    end: int
 
 
 class _ColumnLog:
@@ -145,11 +142,10 @@ class Simulation:
     wakeup the kernel reschedules the agent (self-clocking arrivals).
     """
 
-    def __init__(self, book: OrderBook, series: PriceSeries | None = None, start: int = 0):
+    def __init__(self, book: OrderBook, series=None, start: int = 0):
         self.book = book
-        self.series = series
+        self.series = series  # the oracle's PriceSeries, or None without an oracle
         self.now = start
-        self._start = start
         # heap of (time, seq, agent_id); agent -1 marks session end
         self._heap: list[tuple[int, int, int]] = []
         self._next_seq = 0
@@ -207,8 +203,6 @@ class Simulation:
             events_dispatched=self.events_dispatched,
             n_trades=len(self.trades),
             traded_qty=self.book.traded_qty,
-            start=self._start,
-            end=end,
         )
 
     # -------------------------------------------------------------- actions
@@ -232,11 +226,6 @@ class Simulation:
         return order
 
     # ---------------------------------------------------------------- views
-
-    def observe(self, noise_half_width: int, rng: np.random.Generator) -> int:
-        if self.series is None:
-            raise ValueError("simulation has no oracle series")
-        return observe(self.series, self.now, noise_half_width, rng)
 
     def mid2x_at(self, t: int) -> int | None:
         """Last two-sided mid (x2) at or before t; None before there is one."""

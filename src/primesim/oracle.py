@@ -8,12 +8,15 @@ an integer perturbation drawn uniformly from [-eps, +eps] and clamp to >= 1.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConstantOracle, FileOracle, RandomWalkOracle
 from .errors import DataError
+from .tradeio import write_table
 
 SERIES_HEADER = ["time_ns", "price_ticks"]
 
@@ -87,42 +90,32 @@ def series_from_file(path: str | Path) -> PriceSeries:
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != SERIES_HEADER:
                 raise DataError(f"{path}: expected header {','.join(SERIES_HEADER)}")
-            times, prices = [], []
+            times, prices = array("q"), array("q")
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 try:
                     times.append(int(row[0]))
                     prices.append(int(row[1]))
-                except (ValueError, IndexError) as exc:
+                except (ValueError, IndexError, OverflowError) as exc:
                     raise DataError(f"{path}:{lineno}: malformed series row {row!r}") from exc
     except OSError as exc:
         raise DataError(f"cannot read series file {path}: {exc}") from exc
     try:
-        return PriceSeries(times=np.array(times, dtype=np.int64),
-                           prices=np.array(prices, dtype=np.int64))
+        return PriceSeries(times=times, prices=prices)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def write_series(series: PriceSeries, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_HEADER)
-        for t, p in zip(series.times, series.prices):
-            writer.writerow([int(t), int(p)])
+    write_table(path, SERIES_HEADER, zip(series.times.tolist(), series.prices.tolist()))
 
 
-def make_series(kind: str, **params) -> PriceSeries:
-    """Dispatch on series kind: constant, random_walk, or from_file."""
-    if kind == "constant":
-        return constant_series(params["price"])
-    if kind == "random_walk":
-        rng = params.get("rng")
-        if rng is None:
-            rng = np.random.default_rng(params["seed"])
-        return random_walk_series(params["start"], params["sigma"],
-                                  params["step_ns"], params["horizon_ns"], rng)
-    if kind == "from_file":
-        return series_from_file(params["path"])
-    raise ValueError(f"unknown series kind {kind!r}")
+def make_series(spec: ConstantOracle | RandomWalkOracle | FileOracle, horizon_ns: int,
+                rng: np.random.Generator) -> PriceSeries:
+    """The series an oracle config section describes; a random walk draws from rng."""
+    if isinstance(spec, ConstantOracle):
+        return constant_series(spec.price)
+    if isinstance(spec, RandomWalkOracle):
+        return random_walk_series(spec.start, spec.sigma, spec.step_ns, horizon_ns, rng)
+    return series_from_file(spec.path)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
@@ -58,8 +58,7 @@ def build_simulation(config: RunConfig) -> Simulation:
         book.seed_linear(config.book.start_price, config.book.half_width, config.book.slope)
     series = None
     if config.oracle is not None:
-        series = make_series(config.oracle.kind, **asdict(config.oracle),
-                             horizon_ns=config.session_ns, rng=oracle_stream(config.seed))
+        series = make_series(config.oracle, config.session_ns, oracle_stream(config.seed))
     sim = Simulation(book, series=series)
     aid = 0
     for name in GROUPS:
@@ -131,12 +130,7 @@ def _write_artifacts(dest: Path, config: RunConfig, sim: Simulation, stats: RunS
 def load_run(run_dir: str | Path) -> tuple[TradeTape, QuoteLog]:
     """The trade tape and quote log of a run directory (or equivalent layout)."""
     run_dir = Path(run_dir)
-    trades_path = run_dir / TRADES_FILE
-    l1_path = run_dir / L1_FILE
-    if not trades_path.exists() or not l1_path.exists():
-        raise DataError(f"{run_dir} does not contain {TRADES_FILE} and {L1_FILE}")
-    dump = tradeio.read_trades(trades_path)
-    return dump.records, tradeio.read_l1(l1_path)
+    return tradeio.read_trades(run_dir / TRADES_FILE).records, tradeio.read_l1(run_dir / L1_FILE)
 
 
 def replay(run_dir: str | Path) -> str | None:

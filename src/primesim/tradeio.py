@@ -37,7 +37,6 @@ class TradeDump:
     of those columns of ``records`` hold -1.
     """
 
-    path: Path
     records: TradeTape
     n_malformed: int
 
@@ -86,7 +85,7 @@ def read_trades(path: str | Path) -> TradeDump:
                    for name, c in columns.items()}
     unknown = array("q", [-1]) * len(ts)
     tape = TradeTape.from_columns(**columns, maker_order=unknown, taker_agent=array("q", unknown))
-    return TradeDump(path=path, records=tape, n_malformed=malformed)
+    return TradeDump(records=tape, n_malformed=malformed)
 
 
 def read_l1(path: str | Path) -> QuoteLog:

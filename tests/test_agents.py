@@ -15,7 +15,7 @@ from primesim.config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
 from primesim.errors import ConfigError
 from primesim.darp import DarpParams, generate_signs, lag_distribution
 from primesim.impact import order_sign_acf
-from primesim.oracle import constant_series, observe
+from primesim.oracle import constant_series
 from primesim.rng import BLOCK, BatchedRng
 
 from reference import darp_signs
@@ -56,9 +56,6 @@ class StubSim:
             self.cancelled.append(order_id)
             return order_id
         return None
-
-    def observe(self, noise, rng):
-        return observe(self.series, self.now, noise, rng)
 
     def mid2x_at(self, t):
         keys = [k for k in self.mid_history if k <= t]

@@ -84,7 +84,7 @@ class TestSimulate:
 
         def record(config, out_dir):
             seen.append(config)
-            return runner.RunResult(out_dir=out_dir, stats=RunStats(0, 0, 0, 0, 0))
+            return runner.RunResult(out_dir=out_dir, stats=RunStats(0, 0, 0))
 
         monkeypatch.setattr(runner, "run_simulation", record)
         out = tmp_path / "x"
@@ -95,6 +95,16 @@ class TestSimulate:
         out = tmp_path / "x"
         assert cli(["simulate", "santa-fe", "--session", "2.5ns", "--out", str(out)]) == EXIT_CONFIG
         assert "whole number of nanoseconds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_series_value_outside_int64_exit_code(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("time_ns,price_ticks\n0,500\n5,99999999999999999999999\n")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(CONFIG + f"oracle: {{kind: from_file, path: '{series}'}}\n")
+        out = tmp_path / "x"
+        assert cli(["simulate", str(bad), "--out", str(out)]) == EXIT_DATA
+        assert f"{series}:3: malformed series row" in capsys.readouterr().err
         assert not out.exists()
 
     def test_preset_with_overrides(self, tmp_path):
@@ -137,6 +147,13 @@ class TestAnalyze:
         assert lines[0] == "lag,beta,cumulative,stderr"
         assert len(lines) == 22  # header + lags 0..20
 
+    def test_decay_at_max_lag_zero(self, run_dir, tmp_path):
+        out = tmp_path / "decay"
+        code = cli(["analyze", "decay", str(run_dir), "--window", "1s",
+                    "--min-periods", "30", "--max-lag", "0", "--out", str(out)])
+        assert code == EXIT_OK
+        assert len((out / "kernel.csv").read_text().splitlines()) == 2  # header + lag 0
+
     def test_acf(self, run_dir, tmp_path):
         out = tmp_path / "acf"
         code = cli(["analyze", "acf", str(run_dir), "--max-lag", "50", "--out", str(out)])
@@ -144,6 +161,32 @@ class TestAnalyze:
         lines = (out / "acf.csv").read_text().splitlines()
         assert lines[0] == "lag,acf"
         assert len(lines) == 51
+
+    def test_acf_on_trades_csv_matches_run_dir(self, run_dir, tmp_path):
+        for name, src in (("dir", run_dir), ("csv", run_dir / "trades.csv")):
+            assert cli(["analyze", "acf", str(src), "--max-lag", "50",
+                        "--out", str(tmp_path / name)]) == EXIT_OK
+        assert (tmp_path / "dir" / "acf.csv").read_bytes() == \
+               (tmp_path / "csv" / "acf.csv").read_bytes()
+
+    def test_acf_on_run_dir_without_l1(self, run_dir, tmp_path):
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        (copy / "l1.csv").unlink()
+        out = tmp_path / "acf"
+        assert cli(["analyze", "acf", str(copy), "--max-lag", "50", "--out", str(out)]) == EXIT_OK
+        assert len((out / "acf.csv").read_text().splitlines()) == 51
+
+    def test_acf_without_power_law_fit(self, tmp_path, capsys):
+        # alternating signs: the ACF is positive at even lags only, 4 of 8
+        trades = tmp_path / "alternating.csv"
+        trades.write_text("ts,price,qty,aggressor\n"
+                          + "".join(f"{i},100,1,{'BS'[i % 2]}\n" for i in range(100)))
+        out = tmp_path / "acf"
+        assert cli(["analyze", "acf", str(trades), "--max-lag", "8", "--out", str(out)]) == EXIT_OK
+        assert "power-law fit unavailable" in capsys.readouterr().out
+        assert (out / "acf.csv").exists()
+        assert not (out / "acf_powerlaw.csv").exists()
 
     def test_missing_inputs_data_error(self, tmp_path):
         assert cli(["analyze", "impact", str(tmp_path)]) == EXIT_DATA
@@ -166,6 +209,40 @@ class TestTuneDar:
                     "--budget", "3", "--seed", "1", "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_text().splitlines()[0] == "p,gamma,alpha,c,r2,score"
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize("args", [
+        ["analyze", "acf", "IN", "--max-lag", "0"],
+        ["analyze", "acf", "IN", "--max-lag", "-3"],
+        ["analyze", "decay", "IN", "--max-lag", "-1"],
+        ["analyze", "decay", "IN", "--delta", "0"],
+        ["analyze", "impact", "IN", "--delta", "-1"],
+        ["analyze", "impact", "IN", "--buckets", "0"],
+        ["tune-dar", "--target-alpha", "0", "--target-c", "0.2", "--budget", "3"],
+        ["tune-dar", "--target-alpha", "0.6", "--target-c", "-0.2", "--budget", "3"],
+        ["tune-dar", "--target-alpha", "0.6", "--target-c", "0.2", "--budget", "0"],
+    ])
+    def test_out_of_range_exits_before_reading_input(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        argv = [str(tmp_path / "absent") if a == "IN" else a for a in args]
+        assert cli(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert "Invalid value for" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    def test_acf_out_is_a_file(self, run_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli(["analyze", "acf", str(run_dir), "--out", str(taken)]) == EXIT_DATA
+        assert str(taken) in capsys.readouterr().err
+
+    def test_tune_dar_out_in_missing_dir(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "tune.csv"
+        assert cli(["tune-dar", "--target-alpha", "0.6", "--target-c", "0.2",
+                    "--budget", "3", "--seed", "1", "--out", str(out)]) == EXIT_DATA
+        assert str(out) in capsys.readouterr().err
 
 
 class TestReplay:

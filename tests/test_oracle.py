@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from primesim.config import ConstantOracle, RandomWalkOracle
 from primesim.errors import DataError
 from primesim.oracle import (
     PriceSeries,
@@ -88,33 +89,29 @@ class TestObserve:
 
 class TestMakeSeries:
     def test_constant(self):
-        series = make_series("constant", price=1000)
+        series = make_series(ConstantOracle(price=1000), 0, np.random.default_rng(0))
         assert list(series.times) == [0]
         assert list(series.prices) == [1000]
 
     def test_random_walk_increments_zero_mean(self):
-        series = make_series("random_walk", start=10_000, sigma=1.0,
-                             step_ns=10**9, horizon_ns=10_000 * 10**9, seed=3)
+        series = make_series(RandomWalkOracle(start=10_000, sigma=1.0, step_ns=10**9),
+                             10_000 * 10**9, np.random.default_rng(3))
         inc = np.diff(series.prices.astype(float))
         n = inc.size
         assert n == 10_000
         assert abs(inc.mean()) < 3.0 * inc.std() / np.sqrt(n)
 
     def test_random_walk_step_grid(self):
-        series = make_series("random_walk", start=100, sigma=2.0,
-                             step_ns=5 * 10**9, horizon_ns=60 * 10**9, seed=4)
+        series = make_series(RandomWalkOracle(start=100, sigma=2.0, step_ns=5 * 10**9),
+                             60 * 10**9, np.random.default_rng(4))
         assert list(series.times) == [k * 5 * 10**9 for k in range(13)]
         assert series.prices.min() >= 1
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_series("brownian", price=1)
 
 
 class TestSeriesFile:
     def test_round_trip(self, tmp_path):
-        series = make_series("random_walk", start=500, sigma=3.0,
-                             step_ns=10**9, horizon_ns=100 * 10**9, seed=5)
+        series = make_series(RandomWalkOracle(start=500, sigma=3.0, step_ns=10**9),
+                             100 * 10**9, np.random.default_rng(5))
         path = tmp_path / "series.csv"
         write_series(series, path)
         loaded = series_from_file(path)
@@ -131,6 +128,21 @@ class TestSeriesFile:
         path = tmp_path / "bad.csv"
         path.write_text("time_ns,price_ticks\n0,100\nfoo,bar\n")
         with pytest.raises(DataError, match="malformed"):
+            series_from_file(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("time_ns,price_ticks\n0,100\n\n5,101\n\n")
+        loaded = series_from_file(path)
+        assert list(loaded.times) == [0, 5]
+        assert list(loaded.prices) == [100, 101]
+
+    @pytest.mark.parametrize("row", [f"5,{2**63}", f"{-2**63 - 1},100",
+                                     "5,99999999999999999999999"])
+    def test_value_outside_int64_names_the_line(self, tmp_path, row):
+        path = tmp_path / "series.csv"
+        path.write_text(f"time_ns,price_ticks\n0,100\n\n{row}\n")
+        with pytest.raises(DataError, match=":4: malformed"):
             series_from_file(path)
 
     def test_nonpositive_price_rejected(self, tmp_path):

@@ -40,6 +40,13 @@ class TestReadTrades:
         assert tape_rows(tape)[0] == (10, 100, 2, 1, -1, -1)
         assert list(tape.column("price")) == [100, 101]
 
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_lines(path, ["ts,price,qty,aggressor", "10,100,2,B", "", "20,101,1,S", ""])
+        dump = read_trades(path)
+        assert tape_rows(dump.records) == [(10, 100, 2, 1, -1, -1), (20, 101, 1, -1, -1, -1)]
+        assert dump.n_malformed == 0
+
     def test_out_of_int64_range_is_malformed(self, tmp_path):
         path = tmp_path / "t.csv"
         rows = ["ts,price,qty,aggressor"] + [f"{i},100,1,B" for i in range(200)]
@@ -136,6 +143,14 @@ class TestL1File:
         path = tmp_path / "l1.csv"
         path.write_text("ts,best_bid,best_ask\n0,99,101\nnope,,\n")
         with pytest.raises(DataError, match="malformed"):
+            read_l1(path)
+
+    def test_blank_rows_skipped_and_counted_as_lines(self, tmp_path):
+        path = tmp_path / "l1.csv"
+        path.write_text("ts,best_bid,best_ask\n0,99,101\n\n5,98,\n")
+        assert quote_rows(read_l1(path)) == [(0, 99, 101), (5, 98, None)]
+        path.write_text("ts,best_bid,best_ask\n0,99,101\n\nnope,,\n")
+        with pytest.raises(DataError, match=":4: malformed"):
             read_l1(path)
 
     @pytest.mark.parametrize("row", ["5,0,101", "5,99,-2", f"5,{2**63},101"])
