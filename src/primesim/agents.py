@@ -21,8 +21,6 @@ Each agent reads its parameters from its validated config group
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .book import Side
@@ -53,7 +51,7 @@ class Agent:
 class ZiLimitAgent(Agent):
     def __init__(self, agent_id: int, group: ZiLimitGroup, rng: np.random.Generator):
         super().__init__(agent_id, group, rng)
-        self._live: deque[int] = deque()  # own order ids, oldest first
+        self._live: list[int] = []  # own order ids, oldest first
 
     def wakeup(self, sim) -> None:
         if self.rng.random() < self.group.p_cancel:
@@ -85,9 +83,10 @@ class ZiLimitAgent(Agent):
 
     def _cancel_oldest(self, sim) -> None:
         # ids of orders that were filled meanwhile are stale; drop until a
-        # live one cancels or none remain
+        # live one cancels or none remain. The list holds tens of ids at most,
+        # so pop(0) is cheap, and it is smaller than a deque's 528-byte block
         while self._live:
-            if sim.cancel(self._live.popleft()) is not None:
+            if sim.cancel(self._live.pop(0)) is not None:
                 return
 
 

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage, 2 configuration, 3 data or unwritable output, 4 
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +21,31 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+
+class _PositiveFloat(click.FloatRange):
+    """A finite float above 0; ``FloatRange`` alone lets ``nan`` and ``inf`` through."""
+
+    def __init__(self) -> None:
+        super().__init__(min=0, min_open=True)
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number.", param, ctx)
+        return value
+
+
+class _Duration(click.ParamType):
+    """A duration such as ``5s`` or ``1h``, as integer nanoseconds (``config.parse_duration``)."""
+
+    name = "duration"
+
+    def convert(self, value, param, ctx):
+        try:
+            return parse_duration(value)
+        except ConfigError as exc:
+            self.fail(str(exc), param, ctx)
 
 
 @click.group(name="primesim")
@@ -72,16 +98,18 @@ def _load_inputs(inputs: tuple[str, ...]):
     raise click.UsageError("pass a run directory or TRADES_CSV L1_CSV")
 
 
-_window_opt = click.option("--window", default="5s", help="Resample window length.")
-_horizon_opt = click.option("--horizon", default="1h", help="Trailing normalization horizon.")
+_window_opt = click.option("--window", "window_ns", type=_Duration(), default="5s",
+                           help="Resample window length.")
+_horizon_opt = click.option("--horizon", "horizon_ns", type=_Duration(), default="1h",
+                            help="Trailing normalization horizon.")
 _out_opt = click.option("--out", default=".", help="Directory for result CSVs.")
-_min_periods_opt = click.option("--min-periods", type=int, default=2,
+_min_periods_opt = click.option("--min-periods", type=click.IntRange(min=1), default=2,
                                 help="Trailing windows required before samples are usable.")
 
 
 @analyze.command("impact")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--delta", type=click.FloatRange(min=0, min_open=True), default=None,
+@click.option("--delta", type=_PositiveFloat(), default=None,
               help="Pin the impact exponent instead of fitting.")
 @click.option("--buckets", type=click.IntRange(min=1), default=20,
               help="At most this many quantile buckets: windows of equal net volume "
@@ -91,12 +119,11 @@ _min_periods_opt = click.option("--min-periods", type=int, default=2,
 @_horizon_opt
 @_min_periods_opt
 @_out_opt
-def analyze_impact(inputs, delta, buckets, window, horizon, min_periods, out) -> None:
+def analyze_impact(inputs, delta, buckets, window_ns, horizon_ns, min_periods, out) -> None:
     """Initial-impact analysis: windows, samples, exponent fit, bucket means."""
     trades, quotes = _load_inputs(inputs)
     report = analysis.impact_report(
-        trades, quotes,
-        window_ns=parse_duration(window), horizon_ns=parse_duration(horizon),
+        trades, quotes, window_ns=window_ns, horizon_ns=horizon_ns,
         delta=delta, n_buckets=buckets, min_periods=min_periods,
     )
     out_dir = Path(out)
@@ -113,7 +140,7 @@ def analyze_impact(inputs, delta, buckets, window, horizon, min_periods, out) ->
 
 @analyze.command("decay")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--delta", type=click.FloatRange(min=0, min_open=True), default=None,
+@click.option("--delta", type=_PositiveFloat(), default=None,
               help="Impact exponent (fitted when omitted).")
 @click.option("--max-lag", type=click.IntRange(min=0), default=impact.MAX_LAG,
               help="Kernel lag horizon in windows.")
@@ -121,12 +148,11 @@ def analyze_impact(inputs, delta, buckets, window, horizon, min_periods, out) ->
 @_horizon_opt
 @_min_periods_opt
 @_out_opt
-def analyze_decay(inputs, delta, max_lag, window, horizon, min_periods, out) -> None:
+def analyze_decay(inputs, delta, max_lag, window_ns, horizon_ns, min_periods, out) -> None:
     """Transient-impact kernel: lagged no-intercept OLS of y on adjusted size."""
     trades, quotes = _load_inputs(inputs)
     _, samples, skipped = analysis.prepare_samples(
-        trades, quotes, window_ns=parse_duration(window),
-        horizon_ns=parse_duration(horizon), min_periods=min_periods)
+        trades, quotes, window_ns=window_ns, horizon_ns=horizon_ns, min_periods=min_periods)
     if delta is None:
         delta = impact.fit_delta(samples).delta
     kernel = impact.decay_regression(samples, delta, max_lag=max_lag)
@@ -164,9 +190,9 @@ def analyze_acf(inputs, max_lag, out) -> None:
 
 
 @root.command("tune-dar")
-@click.option("--target-alpha", type=click.FloatRange(min=0, min_open=True), required=True,
+@click.option("--target-alpha", type=_PositiveFloat(), required=True,
               help="Target ACF decay exponent.")
-@click.option("--target-c", type=click.FloatRange(min=0, min_open=True), required=True,
+@click.option("--target-c", type=_PositiveFloat(), required=True,
               help="Target ACF amplitude.")
 @click.option("--budget", type=click.IntRange(min=1), default=200,
               help="Monte-Carlo candidates to draw.")

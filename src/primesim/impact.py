@@ -371,8 +371,9 @@ def decay_regression(samples: Samples, delta: float, max_lag: int = MAX_LAG) -> 
         raise ValueError(
             f"need >= {9 * max_lag} usable consecutive rows for K={max_lag}, got {n_rows}")
 
-    lags = np.arange(max_lag + 1)
-    design = x_all[rows[:, None] - lags[None, :]]
+    # row r of the design is x_all[r], x_all[r - 1], ..., x_all[r - max_lag]; taken
+    # from a sliding view, so no n_rows x window index matrix is built
+    design = np.lib.stride_tricks.sliding_window_view(x_all, window)[rows - max_lag, ::-1]
     target = y_all[rows]
     gram = design.T @ design
     cond = float(np.linalg.cond(gram))

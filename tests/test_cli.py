@@ -222,6 +222,15 @@ class TestOptionRanges:
         ["tune-dar", "--target-alpha", "0", "--target-c", "0.2", "--budget", "3"],
         ["tune-dar", "--target-alpha", "0.6", "--target-c", "-0.2", "--budget", "3"],
         ["tune-dar", "--target-alpha", "0.6", "--target-c", "0.2", "--budget", "0"],
+        ["analyze", "impact", "IN", "--delta", "nan"],
+        ["analyze", "impact", "IN", "--delta", "inf"],
+        ["analyze", "decay", "IN", "--delta", "nan"],
+        ["tune-dar", "--target-alpha", "nan", "--target-c", "0.2", "--budget", "3"],
+        ["tune-dar", "--target-alpha", "0.6", "--target-c", "inf", "--budget", "3"],
+        ["analyze", "impact", "IN", "--min-periods", "-5"],
+        ["analyze", "decay", "IN", "--min-periods", "0"],
+        ["analyze", "impact", "IN", "--window", "0s"],
+        ["analyze", "decay", "IN", "--horizon", "soon"],
     ])
     def test_out_of_range_exits_before_reading_input(self, tmp_path, capsys, args):
         out = tmp_path / "out"

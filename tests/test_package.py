@@ -1,5 +1,10 @@
 """The package's public namespace: what ``primesim.__all__`` promises is there."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import primesim
 
 
@@ -14,3 +19,13 @@ def test_star_import_binds_exactly_the_exports():
     namespace.pop("__builtins__")
     assert set(namespace) == set(primesim.__all__)
     assert {"Trade", "L1Snapshot"}.isdisjoint(namespace)
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # numpy.random costs ~14 ms and ~5.6 MB to import; the random streams make
+    # it at first use, so command-line start-up does not pay for it
+    code = "import sys, primesim.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(primesim.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import BlockRng
@@ -11,13 +12,18 @@ from primesim.rng import BLOCK, BatchedRng
 
 # One entry per kind of scalar draw the agents make, plus the size= pass-throughs
 # a darp market agent makes: its history bits and its blocks of lag and flip
-# uniforms. The integer ranges cover a negative low (as oracle.observe draws)
-# and a span wider than 2**32, which numpy draws from 64 bits, not 32.
+# uniforms. The integer ranges cover a negative low (as oracle.observe draws),
+# a span wider than 2**32, which numpy draws from 64 bits, not 32, and ranges
+# on each edge of the typecodes an integer chunk is held in.
 KINDS = {
     "random": lambda r, n: r.random(),
     "observe_noise": lambda r, n: r.integers(-5, 6),
     "band": lambda r, n: r.integers(1, 101),
     "wide": lambda r, n: r.integers(-3, 2**40),
+    "int8_full": lambda r, n: r.integers(-128, 128),
+    "int8_over": lambda r, n: r.integers(-129, 128),
+    "int16_over": lambda r, n: r.integers(0, 2**15 + 1),
+    "int32_full": lambda r, n: r.integers(-2**31, 2**31),
     "wakeup": lambda r, n: r.exponential(2.5),
     "wakeup_slow": lambda r, n: r.exponential(40.0),
     "darp_bits": lambda r, n: r.integers(0, 2, size=n),
@@ -61,8 +67,8 @@ class TestMatchesBlockReference:
     @given(seed=st.integers(0, 2**63 - 1), script=segments)
     def test_same_values_and_end_state(self, seed, script):
         script = topped_up(script)
-        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = run_script(BatchedRng(gen), script)
+        rng, ref_gen = BatchedRng(np.random.default_rng(seed)), np.random.default_rng(seed)
+        got = run_script(rng, script)
         want = run_script(BlockRng(ref_gen), script)
         assert len(got) == len(want)
         for (kind, a), (_, b) in zip(got, want):
@@ -71,14 +77,39 @@ class TestMatchesBlockReference:
                 np.testing.assert_array_equal(a, b)
             else:
                 assert a == b, kind
-        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        assert rng.state == ref_gen.bit_generator.state
 
     def test_blocks_are_drawn_when_the_reference_draws_them(self):
-        gen, ref_gen = np.random.default_rng(7), np.random.default_rng(7)
-        rng, ref = BatchedRng(gen), BlockRng(ref_gen)
+        ref_gen = np.random.default_rng(7)
+        rng, ref = BatchedRng(np.random.default_rng(7)), BlockRng(ref_gen)
         for i in range(2 * BLOCK + 1):
             assert rng.integers(-5, 6) == ref.integers(-5, 6)
-            assert gen.bit_generator.state == ref_gen.bit_generator.state, i
+            assert rng.state == ref_gen.bit_generator.state, i
+
+    @pytest.mark.parametrize(("low", "high", "typecode"), [
+        (-128, 128, "b"), (-129, 128, "h"), (0, 128, "b"), (0, 129, "h"),
+        (-2**15, 2**15, "h"), (0, 2**15 + 1, "i"), (-2**31, 2**31, "i"),
+        (-2**31 - 1, 0, "q"), (-3, 2**40, "q"),
+    ])
+    def test_integer_chunks_take_the_narrowest_typecode_of_the_range(self, low, high, typecode):
+        rng, ref = BatchedRng(np.random.default_rng(3)), BlockRng(np.random.default_rng(3))
+        for _ in range(BLOCK + 1):
+            a, b = rng.integers(low, high), ref.integers(low, high)
+            assert type(a) is int and a == b
+        assert rng._ints[low, high].chunk.typecode == typecode
+
+    def test_the_given_generator_is_read_not_advanced(self):
+        gen = np.random.default_rng(5)
+        before = gen.bit_generator.state
+        rng = BatchedRng(gen)
+        assert rng.state == before
+        rng.random(), rng.integers(0, 9), rng.random(size=3)
+        assert gen.bit_generator.state == before
+        assert rng.state != before
+
+    def test_a_stream_other_than_pcg64_is_rejected(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            BatchedRng(np.random.Generator(np.random.MT19937(0)))
 
 
 def retained_bytes(factory, n=20):
@@ -104,6 +135,6 @@ def retained_bytes(factory, n=20):
 
 
 class TestMemory:
-    def test_retains_at_most_half_of_the_block_reference(self):
+    def test_retains_at_most_a_quarter_of_the_block_reference(self):
         batched, blocks = retained_bytes(BatchedRng), retained_bytes(BlockRng)
-        assert batched <= blocks / 2, (batched, blocks)
+        assert batched <= blocks / 4, (batched, blocks)
