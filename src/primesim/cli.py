@@ -103,8 +103,9 @@ _window_opt = click.option("--window", "window_ns", type=_Duration(), default="5
 _horizon_opt = click.option("--horizon", "horizon_ns", type=_Duration(), default="1h",
                             help="Trailing normalization horizon.")
 _out_opt = click.option("--out", default=".", help="Directory for result CSVs.")
-_min_periods_opt = click.option("--min-periods", type=click.IntRange(min=1), default=2,
-                                help="Trailing windows required before samples are usable.")
+_min_periods_opt = click.option("--min-periods", type=click.IntRange(min=2), default=2,
+                                help="Trailing windows required before samples are usable "
+                                     "(at least 2: the volatility is a sample std).")
 
 
 @analyze.command("impact")

@@ -27,6 +27,7 @@ WINDOW_NS = 5_000_000_000            # 5 s resample windows
 HORIZON_NS = 3_600_000_000_000       # 1 h trailing normalization horizon
 DELTA_RANGE = (0.1, 1.5)
 MAX_LAG = 100
+DESIGN_BLOCK = 512                   # decay-regression design rows formed at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,21 +180,23 @@ def weighted_volume(
     """Trailing linearly weighted mean of gross volume, newest window heaviest.
 
     Excludes the current window; all-zero history yields NaN (unusable).
+    Volumes are integers, so the weighted sums are exact int64 prefix-sum
+    differences: over windows lo..i-1 with weights 1..n, the sum is
+    sum(j g_j) - (lo - 1) sum(g_j), divided by n(n + 1)/2. int64 arithmetic
+    wraps modulo 2**64, so a difference is exact whenever the weighted sum of
+    one horizon fits in int64, even where the running sums have wrapped.
     """
     h = _horizon_windows(windows, horizon_ns)
     min_periods = max(1, min_periods)
-    gross = windows.gross.astype(float)
-    vol = np.full(len(windows), np.nan)
-    for i in range(len(windows)):
-        lo = max(0, i - h)
-        n = i - lo
-        if n < min_periods:
-            continue
-        w = np.arange(1, n + 1, dtype=float)
-        v = float(np.dot(w, gross[lo:i]) / w.sum())
-        if v > 0:
-            vol[i] = v
-    return vol
+    gross = np.asarray(windows.gross, dtype=np.int64)
+    i = np.arange(len(gross))
+    lo = np.maximum(0, i - h)
+    n = i - lo
+    s1 = np.concatenate([[0], np.cumsum(gross)])
+    s2 = np.concatenate([[0], np.cumsum(i * gross)])
+    weighted = (s2[i] - s2[lo]) - (lo - 1) * (s1[i] - s1[lo])
+    return np.divide(weighted, n * (n + 1) // 2, out=np.full(len(gross), np.nan),
+                     where=(n >= min_periods) & (weighted > 0))
 
 
 def adjust(
@@ -349,7 +352,8 @@ def decay_regression(samples: Samples, delta: float, max_lag: int = MAX_LAG) -> 
 
     Rows are the sample times whose full lag window is usable; requires at
     least 9 * max_lag such rows (ten lag horizons of consecutive samples).
-    Solved by normal equations with a condition-number guard.
+    Solved by normal equations with a condition-number guard; memory is
+    O(DESIGN_BLOCK * max_lag), not O(n_rows * max_lag).
     """
     if not len(samples):
         raise ValueError("no usable samples")
@@ -371,20 +375,28 @@ def decay_regression(samples: Samples, delta: float, max_lag: int = MAX_LAG) -> 
         raise ValueError(
             f"need >= {9 * max_lag} usable consecutive rows for K={max_lag}, got {n_rows}")
 
-    # row r of the design is x_all[r], x_all[r - 1], ..., x_all[r - max_lag]; taken
-    # from a sliding view, so no n_rows x window index matrix is built
-    design = np.lib.stride_tricks.sliding_window_view(x_all, window)[rows - max_lag, ::-1]
-    target = y_all[rows]
-    gram = design.T @ design
+    # row r of the design is x_all[r], x_all[r - 1], ..., x_all[r - max_lag], read from
+    # a sliding view DESIGN_BLOCK rows at a time, so the n_rows x window design is
+    # never built; the normal equations and the residuals are summed block by block
+    lagged = np.lib.stride_tricks.sliding_window_view(x_all, window)
+    blocks = [rows[i:i + DESIGN_BLOCK] for i in range(0, n_rows, DESIGN_BLOCK)]
+    gram = np.zeros((window, window))
+    xty = np.zeros(window)
+    for block in blocks:
+        design = lagged[block - max_lag, ::-1]
+        gram += design.T @ design
+        xty += design.T @ y_all[block]
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError(f"decay regression design is rank-deficient (cond={cond:.3g})")
     gram_inv = np.linalg.inv(gram)
-    beta = gram_inv @ (design.T @ target)
-    resid = target - design @ beta
+    beta = gram_inv @ xty
+    sse = 0.0
+    for block in blocks:
+        resid = y_all[block] - lagged[block - max_lag, ::-1] @ beta
+        sse += float(np.dot(resid, resid))
     dof = max(1, n_rows - (max_lag + 1))
-    sigma2 = float(np.dot(resid, resid)) / dof
-    stderr = np.sqrt(sigma2 * np.diag(gram_inv))
+    stderr = np.sqrt(sse / dof * np.diag(gram_inv))
     return DecayKernel(beta=beta, cumulative=np.cumsum(beta), stderr=stderr,
                        n_rows=n_rows, cond=cond)
 

@@ -37,7 +37,8 @@ class _ColumnLog:
     """Append-only int64 columns, one ``array('q')`` attribute per name.
 
     Subclasses name their columns (the first is ``ts``) and ``extend`` them
-    from rows; the log is read by column, never by row.
+    from rows; the log is read by column, never by row. A log made by
+    ``from_columns`` over numpy columns (as the file readers make) is read-only.
     """
 
     _columns: tuple[str, ...] = ()
@@ -51,8 +52,12 @@ class _ColumnLog:
         return len(self.ts)
 
     @classmethod
-    def from_columns(cls, **columns: array):
-        """A log over whole ``array('q')`` columns of equal length, taken as they are."""
+    def from_columns(cls, **columns: array | np.ndarray):
+        """A log over whole int64 columns of equal length, taken as they are (no copy).
+
+        A column is an ``array('q')`` or a 1-D int64 numpy array, which may be a
+        view of a larger block; several names may share one array.
+        """
         if set(columns) != set(cls._columns) or len({len(c) for c in columns.values()}) > 1:
             raise ValueError(f"need equal-length columns {cls._columns}")
         log = cls()
@@ -62,7 +67,7 @@ class _ColumnLog:
 
     def column(self, name: str) -> np.ndarray:
         """One column as an int64 numpy view of the log's own memory (no copy)."""
-        return np.frombuffer(getattr(self, name), dtype=np.int64)
+        return np.asarray(getattr(self, name))
 
 
 class TradeTape(_ColumnLog):
@@ -106,6 +111,18 @@ class QuoteLog(_ColumnLog):
     def extend(self, rows: Iterable[tuple[int, int | None, int | None]]) -> None:
         for ts, bid, ask in rows:
             self.append(ts, bid, ask)
+
+    @classmethod
+    def from_sides(cls, ts: np.ndarray, bid: np.ndarray, ask: np.ndarray) -> QuoteLog:
+        """A read-only log over int64 side columns (0 for an empty side).
+
+        ``mid2x`` is carried forward exactly as ``append`` carries it; the
+        caller keeps ``bid + ask`` inside int64.
+        """
+        two_sided = (bid > 0) & (ask > 0)
+        last = np.maximum.accumulate(np.where(two_sided, np.arange(len(ts)), -1))
+        mid2x = np.where(last >= 0, (bid + ask)[last], 0)
+        return cls.from_columns(ts=ts, bid=bid, ask=ask, mid2x=mid2x)
 
     def mid2x_at(self, times) -> np.ndarray:
         """``mid2x`` of the last row at or before each time; 0 where there is no mid yet.

@@ -5,12 +5,16 @@ integer tick prices, unit quantities, and B/S aggressor flags. Level-1 log:
 ``ts,best_bid,best_ask`` with empty fields for absent sides. Real exchange
 dumps use the same four trade columns, so both feed the same estimators.
 The readers fill the simulator's own column types, ``TradeTape`` and
-``QuoteLog``, so files and in-memory runs reach the estimators alike.
+``QuoteLog``, so files and in-memory runs reach the estimators alike. A file
+is read by one ``np.loadtxt`` call when every row parses, and row by row
+otherwise; the row parser is the one definition of what a row means, and
+both give the same columns.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +31,7 @@ L1_HEADER = ["ts", "best_bid", "best_ask"]
 
 _SIGNS = {"B": 1, "S": -1}
 _INT64_MAX = 2**63 - 1
+_SCAN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -34,84 +39,167 @@ class TradeDump:
     """Parsed trade file: the time-sorted tape plus the malformed-row count.
 
     A file carries no maker order ids and its taker ids are not read, so both
-    of those columns of ``records`` hold -1.
+    of those columns of ``records`` are one shared read-only array of -1.
     """
 
     records: TradeTape
     n_malformed: int
 
 
+def _aggressor_sign(field: str) -> int:
+    return _SIGNS[field.strip()]
+
+
+def _quote_price(field: str) -> int:
+    """A quote side's tick price, 0 for an empty field (an absent side)."""
+    if field == "":
+        return 0
+    price = int(field)
+    if price < 1:
+        raise ValueError("quote prices are positive ticks")
+    return price
+
+
+def _load_block(path: Path, headers: tuple[str, ...], n_columns: int,
+                converters: dict) -> np.ndarray | None:
+    """The first ``n_columns`` columns of a CSV as one int64 block, in one ``np.loadtxt`` call.
+
+    Returns None, leaving the file to the row parser, unless the header line is
+    one of ``headers`` exactly and every row parses: a file holding a ``"``
+    anywhere (a quoted field may span lines, which loadtxt does not follow), a
+    field numpy's integer parser refuses, a short row, or an empty body (a
+    loadtxt warning) all go the row way. Columns numpy parses accept no more
+    than ``int`` does, so a block is always what the row parser would read.
+    """
+    with path.open("rb") as fh:
+        if any(b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_BYTES), b"")):
+            return None
+    with path.open() as fh:
+        if fh.readline().rstrip("\n") not in headers:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None,
+                                  usecols=range(n_columns), converters=converters, ndmin=2)
+            except (ValueError, Warning):
+                return None
+
+
+def _trade_block(path: Path) -> np.ndarray | None:
+    """``ts, price, qty, sign`` of a trade file with no malformed row, else None."""
+    block = _load_block(path, (",".join(TRADE_HEADER[:4]), ",".join(TRADE_HEADER)), 4,
+                        {3: _aggressor_sign})
+    if block is None or np.any(block[:, 1:3] < 1) or np.any(block[:, 0] == -_INT64_MAX - 1):
+        return None
+    return block
+
+
+def _parse_trade_rows(path: Path) -> tuple[list[np.ndarray], int]:
+    """Row by row: the ``ts, price, qty, sign`` columns and the malformed-row count.
+
+    The one definition of a malformed row and of the 1% rule.
+    """
+    ts, price, qty, sign = array("q"), array("q"), array("q"), array("q")
+    malformed = 0
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:4]] != TRADE_HEADER[:4]:
+            raise DataError(f"{path}: expected trade header starting "
+                            f"{','.join(TRADE_HEADER[:4])}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                t, p, q = int(row[0]), int(row[1]), int(row[2])
+                s = _aggressor_sign(row[3])
+                if p < 1 or q < 1 or max(abs(t), p, q) > _INT64_MAX:
+                    raise ValueError
+            except (ValueError, KeyError, IndexError):
+                malformed += 1
+                continue
+            ts.append(t)
+            price.append(p)
+            qty.append(q)
+            sign.append(s)
+    total = len(ts) + malformed
+    if total and malformed > 0.01 * total:
+        raise DataError(f"{path}: {malformed} of {total} rows malformed (>1%)")
+    return [np.asarray(c) for c in (ts, price, qty, sign)], malformed
+
+
 def read_trades(path: str | Path) -> TradeDump:
     """Load and validate a trade CSV into tape columns; sorts stably by timestamp.
 
     Rows that fail to parse are counted and skipped; more than 1% malformed
-    rows (or a bad header) is a hard error.
+    rows (or a bad header) is a hard error. A file with no malformed row is
+    read in one numpy call and its columns are views of one block; any other
+    file goes through the row parser, with the same result.
     """
     path = Path(path)
-    ts, price, qty, sign = array("q"), array("q"), array("q"), array("q")
-    malformed = 0
     try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:4]] != TRADE_HEADER[:4]:
-                raise DataError(f"{path}: expected trade header starting "
-                                f"{','.join(TRADE_HEADER[:4])}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    t, p, q = int(row[0]), int(row[1]), int(row[2])
-                    s = _SIGNS[row[3].strip()]
-                    if p < 1 or q < 1 or max(abs(t), p, q) > _INT64_MAX:
-                        raise ValueError
-                except (ValueError, KeyError, IndexError):
-                    malformed += 1
-                    continue
-                ts.append(t)
-                price.append(p)
-                qty.append(q)
-                sign.append(s)
+        block = _trade_block(path)
+        if block is None:
+            columns, malformed = _parse_trade_rows(path)
+        else:
+            columns, malformed = list(block.T), 0
     except OSError as exc:
         raise DataError(f"cannot read trade file {path}: {exc}") from exc
-    total = len(ts) + malformed
-    if total and malformed > 0.01 * total:
-        raise DataError(f"{path}: {malformed} of {total} rows malformed (>1%)")
-    columns = {"ts": ts, "price": price, "qty": qty, "sign": sign}
-    ts_view = np.frombuffer(ts, dtype=np.int64)
-    if np.any(ts_view[1:] < ts_view[:-1]):
-        order = np.argsort(ts_view, kind="stable")
-        columns = {name: array("q", np.frombuffer(c, dtype=np.int64)[order].tobytes())
-                   for name, c in columns.items()}
-    unknown = array("q", [-1]) * len(ts)
-    tape = TradeTape.from_columns(**columns, maker_order=unknown, taker_agent=array("q", unknown))
+    ts = columns[0]
+    if np.any(ts[1:] < ts[:-1]):
+        order = np.argsort(ts, kind="stable")
+        columns = [c[order] for c in columns]
+    unknown = np.broadcast_to(np.int64(-1), len(ts))  # read-only, no memory per row
+    tape = TradeTape.from_columns(**dict(zip(("ts", "price", "qty", "sign"), columns)),
+                                  maker_order=unknown, taker_agent=unknown)
     return TradeDump(records=tape, n_malformed=malformed)
 
 
-def read_l1(path: str | Path) -> QuoteLog:
-    """Load an L1 CSV into a quote log; an empty field is an absent side."""
-    path = Path(path)
+def _l1_block(path: Path) -> np.ndarray | None:
+    """``ts, bid, ask`` of an L1 file whose every row parses, else None.
+
+    Also None where a two-sided mid could pass int64: that error is the row parser's.
+    """
+    block = _load_block(path, (",".join(L1_HEADER),), 3, {1: _quote_price, 2: _quote_price})
+    if block is None or int(block[:, 1].max()) + int(block[:, 2].max()) > _INT64_MAX:
+        return None
+    return block
+
+
+def _parse_l1_rows(path: Path) -> QuoteLog:
     quotes = QuoteLog()
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != L1_HEADER:
+            raise DataError(f"{path}: expected header {','.join(L1_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                bid, ask = _quote_price(row[1]), _quote_price(row[2])
+                quotes.append(int(row[0]), bid or None, ask or None)
+            except (ValueError, IndexError, OverflowError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed quote row {row!r}") from exc
+    return quotes
+
+
+def read_l1(path: str | Path) -> QuoteLog:
+    """Load an L1 CSV into a quote log; an empty field is an absent side.
+
+    Any row that does not parse is an error naming its line. A file that
+    parses whole is read in one numpy call with ``mid2x`` carried forward in
+    numpy; any other file goes through the row parser, with the same result.
+    """
+    path = Path(path)
     try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != L1_HEADER:
-                raise DataError(f"{path}: expected header {','.join(L1_HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    bid = int(row[1]) if row[1] != "" else None
-                    ask = int(row[2]) if row[2] != "" else None
-                    if any(p is not None and p < 1 for p in (bid, ask)):
-                        raise ValueError("quote prices are positive ticks")
-                    quotes.append(int(row[0]), bid, ask)
-                except (ValueError, IndexError, OverflowError) as exc:
-                    raise DataError(f"{path}:{lineno}: malformed quote row {row!r}") from exc
+        block = _l1_block(path)
+        if block is None:
+            return _parse_l1_rows(path)
     except OSError as exc:
         raise DataError(f"cannot read L1 file {path}: {exc}") from exc
-    return quotes
+    return QuoteLog.from_sides(*block.T)
 
 
 _AGGRESSOR_FLAG = {side.sign: side.value for side in Side}

@@ -8,9 +8,13 @@ submitting agent's own resting orders.
 
 Also holds the row type the tests compare fills as, readers that turn the
 simulator's column logs back into rows, ``BlockRng``, the array-block random
-facade that ``primesim.rng.BatchedRng`` must reproduce value for value, and
+facade that ``primesim.rng.BatchedRng`` must reproduce value for value,
 ``darp_signs``, a per-sign DAR(p) loop that ``primesim.darp.generate_signs``
-and the darp market agent must reproduce sign for sign.
+and the darp market agent must reproduce sign for sign, and two estimators
+in their direct form: ``weighted_volume``, one dot product per window, which
+``primesim.impact.weighted_volume`` must match bit for bit, and
+``decay_regression``, a dense solve over the whole design, which the blocked
+``primesim.impact.decay_regression`` must match to rounding.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import numpy as np
 
 from primesim.book import Side
 from primesim.darp import lag_distribution
+from primesim.errors import NumericalError
+from primesim.impact import DecayKernel, signed_power
 
 
 class Fill(NamedTuple):
@@ -230,3 +236,47 @@ def darp_signs(params, blocks: int, block: int, rng: np.random.Generator) -> lis
             del history[n:]
             signs.append(1 if bit else -1)
     return signs
+
+
+def weighted_volume(gross, h: int, min_periods: int = 1) -> np.ndarray:
+    """Weighted mean of the last h gross volumes before each window, one dot product each."""
+    min_periods = max(1, min_periods)
+    gross = np.asarray(gross, dtype=float)
+    vol = np.full(len(gross), np.nan)
+    for i in range(len(gross)):
+        lo = max(0, i - h)
+        n = i - lo
+        if n < min_periods:
+            continue
+        w = np.arange(1, n + 1, dtype=float)
+        v = float(np.dot(w, gross[lo:i]) / w.sum())
+        if v > 0:
+            vol[i] = v
+    return vol
+
+
+def decay_regression(samples, delta: float, max_lag: int) -> DecayKernel:
+    """No-intercept OLS of y_t on sgn(q)|q|**delta at lags 0..max_lag over the whole design."""
+    pos = samples.t - samples.t.min()
+    span = int(pos.max()) + 1
+    present = np.zeros(span, dtype=bool)
+    x_all = np.zeros(span)
+    y_all = np.zeros(span)
+    present[pos] = True
+    x_all[pos] = signed_power(samples.q, delta)
+    y_all[pos] = samples.y
+    window = max_lag + 1
+    filled = np.concatenate([[0], np.cumsum(present)])
+    rows = np.flatnonzero(filled[window:] - filled[:-window] == window) + max_lag
+    design = x_all[rows[:, None] - np.arange(window)]
+    target = y_all[rows]
+    gram = design.T @ design
+    cond = float(np.linalg.cond(gram))
+    if not np.isfinite(cond) or cond > 1e12:
+        raise NumericalError(f"decay regression design is rank-deficient (cond={cond:.3g})")
+    gram_inv = np.linalg.inv(gram)
+    beta = gram_inv @ (design.T @ target)
+    resid = target - design @ beta
+    sigma2 = float(np.dot(resid, resid)) / max(1, len(rows) - window)
+    return DecayKernel(beta=beta, cumulative=np.cumsum(beta),
+                       stderr=np.sqrt(sigma2 * np.diag(gram_inv)), n_rows=len(rows), cond=cond)

@@ -231,6 +231,7 @@ class TestOptionRanges:
         ["analyze", "decay", "IN", "--min-periods", "0"],
         ["analyze", "impact", "IN", "--window", "0s"],
         ["analyze", "decay", "IN", "--horizon", "soon"],
+        ["analyze", "impact", "IN", "--min-periods", "1"],
     ])
     def test_out_of_range_exits_before_reading_input(self, tmp_path, capsys, args):
         out = tmp_path / "out"

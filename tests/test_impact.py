@@ -1,10 +1,13 @@
 """Measurement pipeline against brute-force oracles and constructed datasets."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primesim.analysis import impact_report, mid_series_at, time_averaged_mid
 from primesim.config import load_preset
@@ -27,6 +30,8 @@ from primesim.impact import (
 )
 from primesim.kernel import QuoteLog, TradeTape
 from primesim.runner import build_simulation
+
+import reference
 
 NS = 10**9
 W5 = 5 * NS
@@ -310,6 +315,38 @@ class TestWeightedVolume:
         windows = make_windows([0] * 10, gross=[0] * 10)
         vol = weighted_volume(windows, horizon_ns=50 * W5)
         assert np.all(np.isnan(vol))
+
+    @settings(max_examples=200, deadline=None)
+    @given(gross=st.lists(st.one_of(st.just(0), st.integers(0, 50), st.integers(0, 10**9)),
+                          max_size=300),
+           h=st.integers(1, 80), min_periods=st.integers(-1, 90))
+    def test_prefix_sums_equal_the_dot_product_loop_bit_for_bit(self, gross, h, min_periods):
+        windows = make_windows([0] * len(gross), gross=np.asarray(gross, dtype=np.int64))
+        vol = weighted_volume(windows, horizon_ns=h * W5, min_periods=min_periods)
+        want = reference.weighted_volume(gross, h, min_periods)
+        assert np.array_equal(vol, want, equal_nan=True)
+
+    def test_wrapped_running_sums_keep_window_sums_exact(self):
+        # sum(j g_j) over the series is ~5e19 and wraps int64; each 3-window sum is < 2**53
+        gross = np.full(300, 2**50, dtype=np.int64)
+        gross[::7] = 0
+        windows = make_windows([0] * 300, gross=gross)
+        vol = weighted_volume(windows, horizon_ns=3 * W5)
+        assert np.array_equal(vol, reference.weighted_volume(gross, 3), equal_nan=True)
+        assert vol[13] == 2.0**50  # windows 10-12 are all 2**50
+
+    def test_zero_runs_and_burn_in_match_the_loop(self):
+        # runs of zero volume longer than the horizon make all-zero histories mid-series
+        gross = [0] * 5 + [3, 0, 1] + [0] * 12 + [7] * 10 + [0] * 9
+        windows = make_windows([0] * len(gross), gross=gross)
+        for min_periods in (1, 2, 8, 9):  # 9 is more than the 8-window horizon holds
+            vol = weighted_volume(windows, horizon_ns=8 * W5, min_periods=min_periods)
+            want = reference.weighted_volume(gross, 8, min_periods)
+            assert np.array_equal(vol, want, equal_nan=True)
+            assert np.all(np.isnan(vol[:min_periods]))
+        assert np.all(np.isnan(vol))
+        vol = weighted_volume(windows, horizon_ns=8 * W5)
+        assert vol[15] > 0 and np.all(np.isnan(vol[16:21])) and vol[21] > 0
 
 
 class TestAdjust:
@@ -667,6 +704,52 @@ class TestDecayRegression:
         samples = make_samples(np.ones(1000), np.ones(1000))
         with pytest.raises(NumericalError, match="cond"):
             decay_regression(samples, delta=0.59, max_lag=100)
+
+    @pytest.mark.parametrize("n, holes, max_lag, n_rows", [
+        (7200, [], 100, 7100),                          # many blocks and a part block
+        (1124, [], 100, 1024),                          # exactly two blocks
+        (2000, [3, 700, 701, 1000], 100, 1693),         # gaps restart the lag window
+        (400, [150], 20, 359),                          # less than one block
+    ])
+    def test_blocked_sums_match_the_dense_solve(self, n, holes, max_lag, n_rows):
+        rng = np.random.default_rng(n)
+        samples = regression_samples(rng, n, kernel=[1.0, -0.3, 0.1])
+        kept = ~np.isin(samples.t, holes)
+        noise = rng.normal(0.0, 0.5, size=int(kept.sum()))
+        samples = make_samples(samples.q[kept], samples.y[kept] + noise, t=samples.t[kept])
+        got = decay_regression(samples, delta=0.59, max_lag=max_lag)
+        want = reference.decay_regression(samples, delta=0.59, max_lag=max_lag)
+        assert got.n_rows == want.n_rows == n_rows
+        assert got.cond == pytest.approx(want.cond, rel=1e-12)
+        for name in ("beta", "cumulative", "stderr"):
+            value = getattr(want, name)
+            np.testing.assert_allclose(getattr(got, name), value, rtol=1e-12,
+                                       atol=1e-12 * np.abs(value).max())
+
+    @pytest.mark.parametrize("q", [np.ones(1000), np.tile([1.0, -2.0], 500)])
+    def test_rank_deficient_like_the_dense_solve(self, q):
+        # constant q makes every lag column equal; period-2 q makes lags 0 and 2 equal
+        samples = make_samples(q, np.ones(len(q)))
+        for solve in (decay_regression, reference.decay_regression):
+            with pytest.raises(NumericalError, match="rank-deficient"):
+                solve(samples, delta=0.59, max_lag=100)
+
+    def test_traced_peak_is_a_few_blocks_not_the_design(self):
+        # 7,200 consecutive windows at K=100: the dense design alone is 7,100 x 101 x 8 B = 5.7 MB
+        rng = np.random.default_rng(7200)
+        samples = regression_samples(rng, 7200, kernel=[1.0, -0.3, 0.1])
+        decay_regression(samples, delta=0.59)  # one-time allocations before tracing
+        tracemalloc.start()
+        try:
+            decay_regression(samples, delta=0.59)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            reference.decay_regression(samples, delta=0.59, max_lag=100)
+            dense_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+        assert dense_peak > 5.7e6
 
 
 def acf_double_loop(signs, max_lag):
