@@ -13,6 +13,9 @@ from .impact import PowerLawFit, fit_power_law, order_sign_acf
 
 P_BOX = (0.5, 0.99)
 GAMMA_BOX = (1.05, 2.9)
+N_HISTORY = 50  # DAR(p) order n of every candidate
+N_SIGNS = 20_000  # signs simulated per candidate
+MAX_LAG = 20  # ACF lags fitted per candidate
 
 
 @dataclass(frozen=True)
@@ -25,22 +28,12 @@ class TuneResult:
     n_skipped: int
 
 
-def tune_darp(
-    target: PowerLawFit,
-    budget: int,
-    seed: int,
-    *,
-    p_box: tuple[float, float] = P_BOX,
-    gamma_box: tuple[float, float] = GAMMA_BOX,
-    n_history: int = 50,
-    n_signs: int = 20_000,
-    max_lag: int = 20,
-) -> TuneResult:
-    """Best (p, gamma) over `budget` uniform candidates.
+def tune_darp(target: PowerLawFit, budget: int, seed: int) -> TuneResult:
+    """Best (p, gamma) over `budget` uniform candidates in ``P_BOX`` x ``GAMMA_BOX``.
 
     Every candidate simulates a fixed-length sign stream from its own derived
     seed, fits a power law to the stream's autocorrelation over lags
-    1..max_lag, and is scored by squared distance to the target in
+    1..MAX_LAG, and is scored by squared distance to the target in
     (alpha, log C). Candidates whose ACF is not power-law-fittable are skipped;
     all candidates skipping is an error. Same seed and budget, same result.
     """
@@ -49,17 +42,17 @@ def tune_darp(
     if budget < 1:
         raise ValueError("search budget must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    p_cands = rng.uniform(p_box[0], p_box[1], size=budget)
-    g_cands = rng.uniform(gamma_box[0], gamma_box[1], size=budget)
+    p_cands = rng.uniform(P_BOX[0], P_BOX[1], size=budget)
+    g_cands = rng.uniform(GAMMA_BOX[0], GAMMA_BOX[1], size=budget)
 
     best = None  # (score, p, gamma, fit) of the lowest score so far
     skipped = 0
     for i in range(budget):
-        params = DarpParams(p=float(p_cands[i]), gamma=float(g_cands[i]), n=n_history)
+        params = DarpParams(p=float(p_cands[i]), gamma=float(g_cands[i]), n=N_HISTORY)
         stream_rng = np.random.default_rng(np.random.SeedSequence((seed, 1 + i)))
-        signs = generate_signs(params, n_signs, stream_rng)
+        signs = generate_signs(params, N_SIGNS, stream_rng)
         try:
-            acf = order_sign_acf(signs, max_lag=max_lag)
+            acf = order_sign_acf(signs, max_lag=MAX_LAG)
             fit = fit_power_law(acf)
         except (ValueError, NumericalError):
             skipped += 1

@@ -309,7 +309,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return loads_config(text)
 

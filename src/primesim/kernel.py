@@ -22,9 +22,6 @@ from .book import LimitOrder, MarketResult, OrderBook, Side
 _AGENT_SPACE = 1
 _ORACLE_SPACE = 2
 
-# Session-end sorts after same-instant wakeups so a horizon of 10*dt yields 10 wakeups.
-_SESSION_END_SEQ = 2**62
-
 
 @dataclass(frozen=True)
 class RunStats:
@@ -163,8 +160,7 @@ class Simulation:
         self.book = book
         self.series = series  # the oracle's PriceSeries, or None without an oracle
         self.now = start
-        # heap of (time, seq, agent_id); agent -1 marks session end
-        self._heap: list[tuple[int, int, int]] = []
+        self._heap: list[tuple[int, int, int]] = []  # (time, seq, agent_id)
         self._next_seq = 0
         self._agents: dict[int, object] = {}
         self.trades = TradeTape()
@@ -180,7 +176,6 @@ class Simulation:
             raise ValueError(f"cannot schedule event at {time} before now={self.now}")
         seq = self._next_seq
         self._next_seq += 1
-        assert seq < _SESSION_END_SEQ
         heapq.heappush(self._heap, (time, seq, agent_id))
 
     def register(self, agent) -> None:
@@ -193,20 +188,17 @@ class Simulation:
         self.schedule_wakeup(agent.agent_id, self.now + agent.next_wakeup_delay())
 
     def run_until(self, end: int) -> RunStats:
-        """Dispatch events in (time, seq) order through the session horizon."""
+        """Dispatch events in (time, seq) order through the horizon ``end``, inclusive."""
         if end < self.now:
             raise ValueError(f"cannot run until {end}, before now={self.now}")
-        heapq.heappush(self._heap, (end, _SESSION_END_SEQ, -1))
         heap = self._heap
         agents = self._agents
         now = self.now
         dispatched = 0
-        while heap:
+        while heap and heap[0][0] <= end:
             time, _, agent_id = heapq.heappop(heap)
             assert time >= now, "event dispatched out of order"
             now = self.now = time
-            if agent_id < 0:
-                break
             dispatched += 1
             agent = agents[agent_id]
             agent.wakeup(self)

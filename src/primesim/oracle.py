@@ -7,7 +7,6 @@ an integer perturbation drawn uniformly from [-eps, +eps] and clamp to >= 1.
 
 from __future__ import annotations
 
-import csv
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ import numpy as np
 
 from .config import ConstantOracle, FileOracle, RandomWalkOracle
 from .errors import DataError
-from .tradeio import write_table
+from .tradeio import _rows, write_table
 
 SERIES_HEADER = ["time_ns", "price_ticks"]
 
@@ -84,23 +83,13 @@ def random_walk_series(
 
 def series_from_file(path: str | Path) -> PriceSeries:
     path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != SERIES_HEADER:
-                raise DataError(f"{path}: expected header {','.join(SERIES_HEADER)}")
-            times, prices = array("q"), array("q")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    times.append(int(row[0]))
-                    prices.append(int(row[1]))
-                except (ValueError, IndexError, OverflowError) as exc:
-                    raise DataError(f"{path}:{lineno}: malformed series row {row!r}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read series file {path}: {exc}") from exc
+    times, prices = array("q"), array("q")
+    for lineno, row in _rows(path, "series", SERIES_HEADER):
+        try:
+            times.append(int(row[0]))
+            prices.append(int(row[1]))
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed series row {row!r}") from exc
     try:
         return PriceSeries(times=times, prices=prices)
     except ValueError as exc:

@@ -8,7 +8,9 @@ The readers fill the simulator's own column types, ``TradeTape`` and
 ``QuoteLog``, so files and in-memory runs reach the estimators alike. A file
 is read by one ``np.loadtxt`` call when every row parses, and row by row
 otherwise; the row parser is the one definition of what a row means, and
-both give the same columns.
+both give the same columns. Every input CSV read row by row, the oracle's
+price series too, goes through ``_rows``: one header check, one line count
+and one rule for a file that cannot be opened, decoded or split into rows.
 """
 
 from __future__ import annotations
@@ -68,22 +70,43 @@ def _load_block(path: Path, headers: tuple[str, ...], n_columns: int,
     one of ``headers`` exactly and every row parses: a file holding a ``"``
     anywhere (a quoted field may span lines, which loadtxt does not follow), a
     field numpy's integer parser refuses, a short row, or an empty body (a
-    loadtxt warning) all go the row way. Columns numpy parses accept no more
+    loadtxt warning) all go the row way, as does a file that cannot be opened
+    or decoded, for ``_rows`` to report. Columns numpy parses accept no more
     than ``int`` does, so a block is always what the row parser would read.
     """
-    with path.open("rb") as fh:
-        if any(b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_BYTES), b"")):
-            return None
-    with path.open() as fh:
-        if fh.readline().rstrip("\n") not in headers:
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                return np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None,
-                                  usecols=range(n_columns), converters=converters, ndmin=2)
-            except (ValueError, Warning):
+    try:
+        with path.open("rb") as fh:
+            if any(b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_BYTES), b"")):
                 return None
+        with path.open() as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if fh.readline().rstrip("\n") not in headers:
+                return None
+            return np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None,
+                              usecols=range(n_columns), converters=converters, ndmin=2)
+    except (OSError, ValueError, Warning):  # a decode error is a ValueError
+        return None
+
+
+def _rows(path: Path, kind: str, header: list[str], exact: bool = True):
+    """``(line number, fields)`` of each non-blank row after the header, which is line 1.
+
+    The header must be ``header``, or with ``exact=False`` start with it. A bad
+    header, or a file that cannot be opened, decoded or split into rows (a field
+    past the ``csv`` size limit), is a ``DataError`` naming the file.
+    """
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            names = next(reader, None) or []
+            if [h.strip() for h in (names if exact else names[:len(header)])] != header:
+                expected = "header" if exact else f"{kind} header starting"
+                raise DataError(f"{path}: expected {expected} {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    yield lineno, row
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 def _trade_block(path: Path) -> np.ndarray | None:
@@ -102,27 +125,19 @@ def _parse_trade_rows(path: Path) -> tuple[list[np.ndarray], int]:
     """
     ts, price, qty, sign = array("q"), array("q"), array("q"), array("q")
     malformed = 0
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != TRADE_HEADER[:4]:
-            raise DataError(f"{path}: expected trade header starting "
-                            f"{','.join(TRADE_HEADER[:4])}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                t, p, q = int(row[0]), int(row[1]), int(row[2])
-                s = _aggressor_sign(row[3])
-                if p < 1 or q < 1 or max(abs(t), p, q) > _INT64_MAX:
-                    raise ValueError
-            except (ValueError, KeyError, IndexError):
-                malformed += 1
-                continue
-            ts.append(t)
-            price.append(p)
-            qty.append(q)
-            sign.append(s)
+    for _, row in _rows(path, "trade", TRADE_HEADER[:4], exact=False):
+        try:
+            t, p, q = int(row[0]), int(row[1]), int(row[2])
+            s = _aggressor_sign(row[3])
+            if p < 1 or q < 1 or max(abs(t), p, q) > _INT64_MAX:
+                raise ValueError
+        except (ValueError, KeyError, IndexError):
+            malformed += 1
+            continue
+        ts.append(t)
+        price.append(p)
+        qty.append(q)
+        sign.append(s)
     total = len(ts) + malformed
     if total and malformed > 0.01 * total:
         raise DataError(f"{path}: {malformed} of {total} rows malformed (>1%)")
@@ -138,14 +153,8 @@ def read_trades(path: str | Path) -> TradeDump:
     file goes through the row parser, with the same result.
     """
     path = Path(path)
-    try:
-        block = _trade_block(path)
-        if block is None:
-            columns, malformed = _parse_trade_rows(path)
-        else:
-            columns, malformed = list(block.T), 0
-    except OSError as exc:
-        raise DataError(f"cannot read trade file {path}: {exc}") from exc
+    block = _trade_block(path)
+    columns, malformed = _parse_trade_rows(path) if block is None else (list(block.T), 0)
     ts = columns[0]
     if np.any(ts[1:] < ts[:-1]):
         order = np.argsort(ts, kind="stable")
@@ -167,39 +176,36 @@ def _l1_block(path: Path) -> np.ndarray | None:
     return block
 
 
-def _parse_l1_rows(path: Path) -> QuoteLog:
-    quotes = QuoteLog()
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != L1_HEADER:
-            raise DataError(f"{path}: expected header {','.join(L1_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                bid, ask = _quote_price(row[1]), _quote_price(row[2])
-                quotes.append(int(row[0]), bid or None, ask or None)
-            except (ValueError, IndexError, OverflowError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed quote row {row!r}") from exc
-    return quotes
+def _parse_l1_rows(path: Path) -> list[np.ndarray]:
+    """Row by row: the ``ts, bid, ask`` columns, 0 for an absent side.
+
+    The first row that does not parse, or whose two-sided mid passes int64, is
+    an error naming its line.
+    """
+    ts, bid, ask = array("q"), array("q"), array("q")
+    for lineno, row in _rows(path, "L1", L1_HEADER):
+        try:
+            t, b, a = int(row[0]), _quote_price(row[1]), _quote_price(row[2])
+            if b + a > _INT64_MAX:
+                raise ValueError
+            ts.append(t)
+            bid.append(b)
+            ask.append(a)
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed quote row {row!r}") from exc
+    return [np.asarray(c) for c in (ts, bid, ask)]
 
 
 def read_l1(path: str | Path) -> QuoteLog:
-    """Load an L1 CSV into a quote log; an empty field is an absent side.
+    """Load an L1 CSV into a read-only quote log; an empty field is an absent side.
 
     Any row that does not parse is an error naming its line. A file that
-    parses whole is read in one numpy call with ``mid2x`` carried forward in
-    numpy; any other file goes through the row parser, with the same result.
+    parses whole is read in one numpy call, any other file row by row; both
+    carry ``mid2x`` forward in numpy, with the same result.
     """
     path = Path(path)
-    try:
-        block = _l1_block(path)
-        if block is None:
-            return _parse_l1_rows(path)
-    except OSError as exc:
-        raise DataError(f"cannot read L1 file {path}: {exc}") from exc
-    return QuoteLog.from_sides(*block.T)
+    block = _l1_block(path)
+    return QuoteLog.from_sides(*(_parse_l1_rows(path) if block is None else block.T))
 
 
 _AGGRESSOR_FLAG = {side.sign: side.value for side in Side}

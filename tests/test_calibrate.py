@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from primesim import calibrate
 from primesim.calibrate import tune_darp
 from primesim.darp import DarpParams, generate_signs
 from primesim.errors import NumericalError
@@ -44,8 +45,9 @@ class TestTuneDarp:
         with pytest.raises(ValueError):
             tune_darp(target, budget=0, seed=0)
 
-    def test_error_when_nothing_fittable(self):
+    def test_error_when_nothing_fittable(self, monkeypatch):
         # anti-persistent box: ACF(1) < 0 so no positive run to fit
         target = target_from_stream(0.9, 1.5)
+        monkeypatch.setattr(calibrate, "P_BOX", (0.0, 0.01))
         with pytest.raises(NumericalError, match="fittable"):
-            tune_darp(target, budget=3, seed=2, p_box=(0.0, 0.01))
+            tune_darp(target, budget=3, seed=2)

@@ -255,6 +255,47 @@ class TestUnwritableOutput:
         assert str(out) in capsys.readouterr().err
 
 
+def with_bad_byte(src: bytes, dst, line):
+    """Write ``src`` to ``dst`` with a byte that is not UTF-8 inside line index ``line`` (0 = header)."""
+    lines = src.splitlines(keepends=True)
+    lines[line] = lines[line][:1] + b"\xff" + lines[line][1:]
+    dst.write_bytes(b"".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("line", [0, -1], ids=["header", "body"])
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is a data error (exit 3) in a data file, a config error in a config."""
+
+    def test_trade_file(self, run_dir, tmp_path, capsys, line):
+        trades = with_bad_byte((run_dir / "trades.csv").read_bytes(), tmp_path / "t.csv", line)
+        assert cli(["analyze", "acf", str(trades), "--out", str(tmp_path / "acf")]) == EXIT_DATA
+        assert f"data error: cannot read trade file {trades}: " in capsys.readouterr().err
+
+    def test_l1_file(self, run_dir, tmp_path, capsys, line):
+        l1 = with_bad_byte((run_dir / "l1.csv").read_bytes(), tmp_path / "l1.csv", line)
+        code = cli(["analyze", "impact", str(run_dir / "trades.csv"), str(l1),
+                    "--out", str(tmp_path / "impact")])
+        assert code == EXIT_DATA
+        assert f"data error: cannot read L1 file {l1}: " in capsys.readouterr().err
+
+    def test_oracle_series_file(self, tmp_path, capsys, line):
+        series = with_bad_byte(b"time_ns,price_ticks\n0,500\n5,501\n", tmp_path / "s.csv", line)
+        config = tmp_path / "config.yaml"
+        config.write_text(CONFIG + f"oracle: {{kind: from_file, path: '{series}'}}\n")
+        out = tmp_path / "x"
+        assert cli(["simulate", str(config), "--out", str(out)]) == EXIT_DATA
+        assert f"data error: cannot read series file {series}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file(self, tmp_path, capsys, line):
+        config = with_bad_byte(CONFIG.lstrip().encode(), tmp_path / "config.yaml", line)
+        out = tmp_path / "x"
+        assert cli(["simulate", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: cannot read config {config}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReplay:
     def test_replay_round_trip(self, run_dir):
         assert cli(["replay", str(run_dir)]) == EXIT_OK

@@ -1,5 +1,6 @@
-"""The package's public namespace: what ``primesim.__all__`` promises is there."""
+"""The package's public namespace and module structure."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +30,18 @@ def test_importing_the_cli_leaves_numpy_random_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_only_tradeio_imports_csv():
+    # every input CSV is read row by row in one place, tradeio's row reader
+    def imported(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module.split(".")[0]
+
+    src = Path(primesim.__file__).parent
+    importers = {path.stem for path in src.glob("*.py")
+                 if "csv" in set(imported(ast.parse(path.read_text())))}
+    assert importers == {"tradeio"}

@@ -168,6 +168,17 @@ class TestL1File:
             read_l1(path)
 
 
+@pytest.mark.parametrize("reader, lines", [
+    (read_trades, ["ts,price,qty,aggressor", "1,100,1,B", f"2,{'1' * 200_000},1,B"]),
+    (read_l1, ["ts,best_bid,best_ask", "0,99,101", f"5,{'1' * 200_000},101"]),
+])
+def test_a_field_past_the_csv_limit_is_a_data_error(tmp_path, reader, lines):
+    path = tmp_path / "big.csv"
+    write_lines(path, lines)
+    with pytest.raises(DataError, match=f"cannot read .* file {path}: field larger than"):
+        reader(path)
+
+
 def row_parser_only():
     """Within this context every file goes through the row parser."""
     return mock.patch.object(tradeio, "_load_block", return_value=None)
