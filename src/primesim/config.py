@@ -15,11 +15,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 from typing import ClassVar
-
-import yaml
 
 from .errors import ConfigError
 
@@ -315,6 +312,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def loads_config(text: str) -> RunConfig:
+    import yaml  # only commands that read or write a config pay for PyYAML
+
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -323,11 +322,15 @@ def loads_config(text: str) -> RunConfig:
 
 
 def dump_config(config: RunConfig) -> str:
+    import yaml
+
     return yaml.safe_dump(to_dict(config), sort_keys=False)
 
 
 def load_preset(name: str) -> RunConfig:
     """Shipped baseline configurations: santa-fe and prime."""
+    from importlib import resources
+
     normalized = name.replace("_", "-").lower()
     if normalized not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

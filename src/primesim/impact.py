@@ -280,7 +280,8 @@ def _bucket_chunks(q: np.ndarray, q_net: np.ndarray | None, n_buckets: int) -> l
     size, extra = divmod(len(q), n_buckets)
     cuts = np.arange(1, n_buckets) * size + np.minimum(np.arange(1, n_buckets), extra)
     moved = np.searchsorted(allowed, cuts)
-    return np.split(order, np.unique(allowed[moved[moved < allowed.size]]))
+    edges = allowed[moved[moved < allowed.size]]  # non-decreasing, as the cuts are
+    return np.split(order, edges[np.diff(edges, prepend=0) > 0])
 
 
 def _bucket_stats(

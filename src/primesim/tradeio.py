@@ -91,6 +91,9 @@ def _load_block(path: Path, headers: tuple[str, ...], n_columns: int,
 def _rows(path: Path, kind: str, header: list[str], exact: bool = True):
     """``(line number, fields)`` of each non-blank row after the header, which is line 1.
 
+    A row's number is the physical line it starts on, which a quoted field
+    spanning lines before it puts past its record count.
+
     The header must be ``header``, or with ``exact=False`` start with it. A bad
     header, or a file that cannot be opened, decoded or split into rows (a field
     past the ``csv`` size limit), is a ``DataError`` naming the file.
@@ -102,9 +105,11 @@ def _rows(path: Path, kind: str, header: list[str], exact: bool = True):
             if [h.strip() for h in (names if exact else names[:len(header)])] != header:
                 expected = "header" if exact else f"{kind} header starting"
                 raise DataError(f"{path}: expected {expected} {','.join(header)}")
-            for lineno, row in enumerate(reader, start=2):
+            lineno = reader.line_num + 1
+            for row in reader:
                 if row:
                     yield lineno, row
+                lineno = reader.line_num + 1
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
 

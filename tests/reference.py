@@ -14,7 +14,9 @@ and the darp market agent must reproduce sign for sign, and two estimators
 in their direct form: ``weighted_volume``, one dot product per window, which
 ``primesim.impact.weighted_volume`` must match bit for bit, and
 ``decay_regression``, a dense solve over the whole design, which the blocked
-``primesim.impact.decay_regression`` must match to rounding.
+``primesim.impact.decay_regression`` must match to rounding. ``bucket_chunks``
+merges colliding bucket cuts with ``np.unique``; ``primesim.impact`` must cut
+the same chunks.
 """
 
 from __future__ import annotations
@@ -280,3 +282,14 @@ def decay_regression(samples, delta: float, max_lag: int) -> DecayKernel:
     sigma2 = float(np.dot(resid, resid)) / max(1, len(rows) - window)
     return DecayKernel(beta=beta, cumulative=np.cumsum(beta),
                        stderr=np.sqrt(sigma2 * np.diag(gram_inv)), n_rows=len(rows), cond=cond)
+
+
+def bucket_chunks(q: np.ndarray, q_net: np.ndarray | None, n_buckets: int) -> list[np.ndarray]:
+    """Sample indices of each bucket: equal-count cuts moved past ties, merged by np.unique."""
+    order = np.argsort(q, kind="stable")
+    tie_key = (q if q_net is None else q_net)[order]
+    allowed = np.flatnonzero(tie_key[1:] != tie_key[:-1]) + 1
+    size, extra = divmod(len(q), n_buckets)
+    cuts = np.arange(1, n_buckets) * size + np.minimum(np.arange(1, n_buckets), extra)
+    moved = np.searchsorted(allowed, cuts)
+    return np.split(order, np.unique(allowed[moved[moved < allowed.size]]))

@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primesim import impact
 from primesim.analysis import impact_report, mid_series_at, time_averaged_mid
 from primesim.config import load_preset
 from primesim.errors import NumericalError
@@ -497,6 +498,39 @@ def equal_count_buckets(samples, n_buckets, delta=None):
             np.asarray([np.mean(key[c]) for c in chunks]),
             np.asarray([np.mean(y[c]) for c in chunks]),
             np.asarray([len(c) for c in chunks]))
+
+
+@st.composite
+def bucket_inputs(draw):
+    """q, an optional q_net with runs of ties, and a bucket count up to past the sample."""
+    n = draw(st.integers(1, 60))
+    net = draw(st.none() | st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    if net is None:
+        q_net = None
+        q = np.asarray(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))) / 2.0
+    else:
+        q_net = np.asarray(net)
+        scale = draw(st.lists(st.floats(0.9, 1.1), min_size=n, max_size=n))
+        q = q_net / np.asarray(scale)
+    return q, q_net, draw(st.integers(1, n + 5))
+
+
+class TestBucketChunks:
+    @settings(max_examples=300, deadline=None)
+    @given(bucket_inputs())
+    @example((np.full(12, 0.5), None, 4))                        # every q tied
+    @example((np.full(12, 0.5), np.full(12, 3), 4))              # every q_net tied
+    @example((np.linspace(-1, 1, 12), np.repeat([-2, 0, 1, 5], 3), 5))  # runs of q_net ties
+    @example((np.arange(5.0), None, 9))                          # more buckets than samples
+    @example((np.asarray([0.3]), None, 1))                       # one sample
+    @example((np.asarray([0.3]), np.asarray([1]), 3))           # one sample, more buckets
+    def test_chunks_match_the_unique_merge(self, inputs):
+        q, q_net, n_buckets = inputs
+        got = impact._bucket_chunks(q, q_net, n_buckets)
+        want = reference.bucket_chunks(q, q_net, n_buckets)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestBucketMeans:

@@ -145,6 +145,12 @@ class TestSeriesFile:
         with pytest.raises(DataError, match=":4: malformed"):
             series_from_file(path)
 
+    def test_a_row_after_a_quoted_field_spanning_lines_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text('time_ns,price_ticks\n0,100,"x\ny"\n\nfoo,bar\n')
+        with pytest.raises(DataError, match=":5: malformed"):
+            series_from_file(path)
+
     def test_nonpositive_price_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_ns,price_ticks\n0,100\n5,0\n")

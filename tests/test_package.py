@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import primesim
 
 
@@ -32,16 +35,86 @@ def test_importing_the_cli_leaves_numpy_random_unimported():
     assert out.stdout.strip() == "False"
 
 
+def imported(node, module_level=False):
+    """Top-level package of each absolute import under node; with module_level,
+    none made inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module.split(".")[0]
+        elif not (module_level and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            yield from imported(child, module_level)
+
+
+def importers(package: str, module_level=False) -> set[str]:
+    src = Path(primesim.__file__).parent
+    return {path.stem for path in src.glob("*.py")
+            if package in set(imported(ast.parse(path.read_text()), module_level))}
+
+
 def test_only_tradeio_imports_csv():
     # every input CSV is read row by row in one place, tradeio's row reader
-    def imported(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                yield from (alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                yield node.module.split(".")[0]
+    assert importers("csv") == {"tradeio"}
 
-    src = Path(primesim.__file__).parent
-    importers = {path.stem for path in src.glob("*.py")
-                 if "csv" in set(imported(ast.parse(path.read_text())))}
-    assert importers == {"tradeio"}
+
+def test_only_config_imports_yaml_and_only_when_a_config_is_read_or_written():
+    assert importers("yaml") == {"config"}
+    assert importers("yaml", module_level=True) == set()
+
+
+GUARDED = ("yaml", "numpy.ma", "numpy.random")
+
+
+def loaded_after(code: str) -> set[str]:
+    """Which of GUARDED a fresh interpreter has imported once it has run code,
+    read off the last line it prints."""
+    code += f"\nimport sys; print(' '.join(m for m in {GUARDED!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(primesim.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_leaves_yaml_unimported():
+    # PyYAML costs ~1 MB resident; only commands that read or write a config load it
+    assert "yaml" not in loaded_after("import primesim.cli")
+
+
+@pytest.fixture(scope="module")
+def dump(tmp_path_factory):
+    """A small trade/L1 pair: 600 one-second windows whose mid follows their net volume."""
+    rng = np.random.default_rng(5)
+    root = tmp_path_factory.mktemp("dump")
+    ns, windows, n = 10**9, 600, 6000
+    ts = np.sort(rng.integers(0, windows * ns, size=n))
+    sign = np.repeat(rng.choice([-1, 1], size=n // 4), 4)
+    qty = rng.integers(1, 4, size=n)
+    net = np.bincount(ts // ns, weights=sign * qty, minlength=windows)
+    move = np.rint(np.sign(net) * np.abs(net) ** 0.5 + rng.normal(0, 1, size=windows))
+    mid = 1_000 + np.concatenate([[0], np.cumsum(move)]).astype(np.int64)
+    q_ts = np.arange(windows + 1) * ns
+    touch = np.searchsorted(q_ts, ts, side="right") - 1
+    price = np.where(sign > 0, mid[touch] + 1, mid[touch] - 1)
+    trades, l1 = root / "trades.csv", root / "l1.csv"
+    trades.write_text("ts,price,qty,aggressor\n" + "".join(
+        f"{t},{p},{q},{'B' if s > 0 else 'S'}\n" for t, p, q, s in zip(ts, price, qty, sign)))
+    l1.write_text("ts,best_bid,best_ask\n" + "".join(
+        f"{t},{m - 1},{m + 1}\n" for t, m in zip(q_ts, mid)))
+    return trades, l1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "impact", "--window", "1s", "--min-periods", "30"],
+    ["analyze", "decay", "--window", "1s", "--min-periods", "30", "--max-lag", "5"],
+    ["analyze", "acf", "--max-lag", "10"],
+])
+def test_analysis_loads_no_yaml_masked_arrays_or_random_streams(dump, tmp_path, argv):
+    argv = [*argv, *map(str, dump), "--out", str(tmp_path)]
+    assert loaded_after(f"from primesim.cli import cli\nassert cli({argv!r}) == 0") == set()
+
+
+def test_tuning_loads_no_yaml_or_masked_arrays():
+    argv = ["tune-dar", "--target-alpha", "0.6", "--target-c", "0.2", "--budget", "3"]
+    assert loaded_after(f"from primesim.cli import cli\nassert cli({argv!r}) == 0") <= \
+        {"numpy.random"}

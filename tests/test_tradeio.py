@@ -160,6 +160,12 @@ class TestL1File:
         with pytest.raises(DataError, match=":4: malformed"):
             read_l1(path)
 
+    def test_a_row_after_a_quoted_field_spanning_lines_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "ml.csv"
+        path.write_text('ts,best_bid,best_ask\n0,99,101,"a\nb"\n\nnope,,\n')
+        with pytest.raises(DataError, match=":5: malformed"):
+            read_l1(path)
+
     @pytest.mark.parametrize("row", ["5,0,101", "5,99,-2", f"5,{2**63},101"])
     def test_price_outside_ticks_is_malformed(self, tmp_path, row):
         path = tmp_path / "l1.csv"
