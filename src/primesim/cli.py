@@ -5,15 +5,15 @@ Exit codes: 0 success, 1 usage, 2 configuration, 3 data or unwritable output, 4 
 
 from __future__ import annotations
 
+import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import click
 
 from . import analysis, calibrate, impact, runner, tradeio
 from .config import PRESET_NAMES, load_config, load_preset, parse_duration
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, UsageError
 from .impact import PowerLawFit
 
 EXIT_OK = 0
@@ -23,56 +23,57 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-class _PositiveFloat(click.FloatRange):
-    """A finite float above 0; ``FloatRange`` alone lets ``nan`` and ``inf`` through."""
+class _Parser(argparse.ArgumentParser):
+    """Takes no option prefix and no ``-h``, and raises UsageError where argparse would exit 2."""
 
-    def __init__(self) -> None:
-        super().__init__(min=0, min_open=True)
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
 
-    def convert(self, value, param, ctx):
-        value = super().convert(value, param, ctx)
-        if not math.isfinite(value):
-            self.fail(f"{value} is not a finite number.", param, ctx)
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _option(parser: _Parser, flag: str, parse, **kwargs) -> None:
+    """Adds ``flag`` read by ``parse``; a value it refuses is a usage error naming the flag."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ConfigError) as exc:
+            raise UsageError(f"Invalid value for '{flag}': {exc}") from None
+
+    parser.add_argument(flag, type=convert, **kwargs)
+
+
+def _number(kind: type, low: float, above: bool = False):
+    """Parser of a finite ``kind`` that is at least ``low``, or above it with ``above``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not -math.inf < value < math.inf:  # also false for nan
+            raise ValueError(f"{value} is not a finite number.")
+        if value < low or (above and value == low):
+            raise ValueError(f"{value} is not in the range x{'>' if above else '>='}{low}.")
         return value
 
-
-class _Duration(click.ParamType):
-    """A duration such as ``5s`` or ``1h``, as integer nanoseconds (``config.parse_duration``)."""
-
-    name = "duration"
-
-    def convert(self, value, param, ctx):
-        try:
-            return parse_duration(value)
-        except ConfigError as exc:
-            self.fail(str(exc), param, ctx)
+    return parse
 
 
-@click.group(name="primesim")
-def root() -> None:
-    """Agent-based exchange simulator and market-impact analysis pipeline."""
+_POSITIVE = _number(float, 0, above=True)
 
 
-@root.command()
-@click.argument("config_src")
-@click.option("--out", default=None, help="Run output directory (default: from config or ./run).")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--session", default=None, help="Override the session length (e.g. 30m).")
 def simulate(config_src: str, out: str | None, seed: int | None, session: str | None) -> None:
     """Run a session from a config file or a preset name (santa-fe, prime)."""
     config = _load_config_source(config_src)
     if seed is not None or session is not None:
-        from dataclasses import replace
-
-        config = replace(
-            config,
-            seed=config.seed if seed is None else seed,
-            session_ns=config.session_ns if session is None else parse_duration(session),
-        )
+        config = replace(config, seed=config.seed if seed is None else seed,
+                         session_ns=config.session_ns if session is None
+                         else parse_duration(session))
     out_dir = Path(out) if out else Path(config.output or "run")
     result = runner.run_simulation(config, out_dir)
-    click.echo(f"run written to {result.out_dir}")
-    click.echo(f"events={result.stats.events_dispatched} trades={result.stats.n_trades}")
+    print(f"run written to {result.out_dir}")
+    print(f"events={result.stats.events_dispatched} trades={result.stats.n_trades}")
 
 
 def _load_config_source(src: str):
@@ -84,121 +85,66 @@ def _load_config_source(src: str):
     raise ConfigError(f"{src!r} is neither a config file nor a preset {PRESET_NAMES}")
 
 
-@root.group()
-def analyze() -> None:
-    """Measurement pipeline over a run directory or trade/L1 CSV files."""
-
-
-def _load_inputs(inputs: tuple[str, ...]):
+def _load_inputs(inputs: list[str]):
     if len(inputs) == 1:
         return runner.load_run(inputs[0])
     if len(inputs) == 2:
-        dump = tradeio.read_trades(inputs[0])
-        return dump.records, tradeio.read_l1(inputs[1])
-    raise click.UsageError("pass a run directory or TRADES_CSV L1_CSV")
+        return tradeio.read_trades(inputs[0]).records, tradeio.read_l1(inputs[1])
+    raise UsageError("pass a run directory or TRADES_CSV L1_CSV")
 
 
-_window_opt = click.option("--window", "window_ns", type=_Duration(), default="5s",
-                           help="Resample window length.")
-_horizon_opt = click.option("--horizon", "horizon_ns", type=_Duration(), default="1h",
-                            help="Trailing normalization horizon.")
-_out_opt = click.option("--out", default=".", help="Directory for result CSVs.")
-_min_periods_opt = click.option("--min-periods", type=click.IntRange(min=2), default=2,
-                                help="Trailing windows required before samples are usable "
-                                     "(at least 2: the volatility is a sample std).")
-
-
-@analyze.command("impact")
-@click.argument("inputs", nargs=-1, required=True)
-@click.option("--delta", type=_PositiveFloat(), default=None,
-              help="Pin the impact exponent instead of fitting.")
-@click.option("--buckets", type=click.IntRange(min=1), default=20,
-              help="At most this many quantile buckets: windows of equal net volume "
-                   "are never split, so counts differ by at most one only when no "
-                   "values tie.")
-@_window_opt
-@_horizon_opt
-@_min_periods_opt
-@_out_opt
-def analyze_impact(inputs, delta, buckets, window_ns, horizon_ns, min_periods, out) -> None:
+def analyze_impact(inputs, delta, buckets, window, horizon, min_periods, out) -> None:
     """Initial-impact analysis: windows, samples, exponent fit, bucket means."""
     trades, quotes = _load_inputs(inputs)
     report = analysis.impact_report(
-        trades, quotes, window_ns=window_ns, horizon_ns=horizon_ns,
+        trades, quotes, window_ns=window, horizon_ns=horizon,
         delta=delta, n_buckets=buckets, min_periods=min_periods,
     )
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    analysis.write_windows(out_dir / "windows.csv", report.windows)
-    analysis.write_samples(out_dir / "samples.csv", report.samples)
-    analysis.write_buckets(out_dir / "buckets.csv", report.buckets)
-    analysis.write_split_buckets(out_dir / "buckets_by_prev_sign.csv",
+    out.mkdir(parents=True, exist_ok=True)
+    analysis.write_windows(out / "windows.csv", report.windows)
+    analysis.write_samples(out / "samples.csv", report.samples)
+    analysis.write_buckets(out / "buckets.csv", report.buckets)
+    analysis.write_split_buckets(out / "buckets_by_prev_sign.csv",
                                  report.buckets_prev_buy, report.buckets_prev_sell)
-    analysis.write_delta_fit(out_dir / "delta_fit.csv", report.delta_fit, report.skipped)
+    analysis.write_delta_fit(out / "delta_fit.csv", report.delta_fit, report.skipped)
     f = report.delta_fit
-    click.echo(f"delta={f.delta:.4f} k={f.k:.4f} sse={f.sse:.6g} n={f.n}")
+    print(f"delta={f.delta:.4f} k={f.k:.4f} sse={f.sse:.6g} n={f.n}")
 
 
-@analyze.command("decay")
-@click.argument("inputs", nargs=-1, required=True)
-@click.option("--delta", type=_PositiveFloat(), default=None,
-              help="Impact exponent (fitted when omitted).")
-@click.option("--max-lag", type=click.IntRange(min=0), default=impact.MAX_LAG,
-              help="Kernel lag horizon in windows.")
-@_window_opt
-@_horizon_opt
-@_min_periods_opt
-@_out_opt
-def analyze_decay(inputs, delta, max_lag, window_ns, horizon_ns, min_periods, out) -> None:
+def analyze_decay(inputs, delta, max_lag, window, horizon, min_periods, out) -> None:
     """Transient-impact kernel: lagged no-intercept OLS of y on adjusted size."""
     trades, quotes = _load_inputs(inputs)
     _, samples, skipped = analysis.prepare_samples(
-        trades, quotes, window_ns=window_ns, horizon_ns=horizon_ns, min_periods=min_periods)
+        trades, quotes, window_ns=window, horizon_ns=horizon, min_periods=min_periods)
     if delta is None:
         delta = impact.fit_delta(samples).delta
     kernel = impact.decay_regression(samples, delta, max_lag=max_lag)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    analysis.write_kernel(out_dir / "kernel.csv", kernel)
-    click.echo(f"delta={delta:.4f} beta0={kernel.beta[0]:.4f} "
-               f"rows={kernel.n_rows} cond={kernel.cond:.3g}")
+    out.mkdir(parents=True, exist_ok=True)
+    analysis.write_kernel(out / "kernel.csv", kernel)
+    print(f"delta={delta:.4f} beta0={kernel.beta[0]:.4f} "
+          f"rows={kernel.n_rows} cond={kernel.cond:.3g}")
 
 
-@analyze.command("acf")
-@click.argument("inputs", nargs=-1, required=True)
-@click.option("--max-lag", type=click.IntRange(min=1), default=impact.MAX_LAG,
-              help="Largest lag to estimate.")
-@_out_opt
 def analyze_acf(inputs, max_lag, out) -> None:
     """Order-sign autocorrelation of the trade tape and its power-law fit."""
     if len(inputs) > 2:
-        raise click.UsageError("pass a run directory or TRADES_CSV [L1_CSV]")
+        raise UsageError("pass a run directory or TRADES_CSV [L1_CSV]")
     path = Path(inputs[0])
     if len(inputs) == 1 and path.is_dir():
         path /= runner.TRADES_FILE
     trades = tradeio.read_trades(path).records
     acf = impact.order_sign_acf(trades.column("sign"), max_lag=max_lag)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    analysis.write_acf(out_dir / "acf.csv", acf)
+    out.mkdir(parents=True, exist_ok=True)
+    analysis.write_acf(out / "acf.csv", acf)
     try:
         fit = impact.fit_power_law(acf)
     except NumericalError as exc:
-        click.echo(f"acf written; power-law fit unavailable: {exc}")
+        print(f"acf written; power-law fit unavailable: {exc}")
         return
-    analysis.write_power_law(out_dir / "acf_powerlaw.csv", fit)
-    click.echo(f"alpha={fit.alpha:.4f} c={fit.c:.4f} r2={fit.r2:.4f}")
+    analysis.write_power_law(out / "acf_powerlaw.csv", fit)
+    print(f"alpha={fit.alpha:.4f} c={fit.c:.4f} r2={fit.r2:.4f}")
 
 
-@root.command("tune-dar")
-@click.option("--target-alpha", type=_PositiveFloat(), required=True,
-              help="Target ACF decay exponent.")
-@click.option("--target-c", type=_PositiveFloat(), required=True,
-              help="Target ACF amplitude.")
-@click.option("--budget", type=click.IntRange(min=1), default=200,
-              help="Monte-Carlo candidates to draw.")
-@click.option("--seed", type=int, default=0, help="Search seed.")
-@click.option("--out", default=None, help="Optional CSV for the result.")
 def tune_dar(target_alpha, target_c, budget, seed, out) -> None:
     """Search DAR(p) parameters whose sign ACF matches a target power law."""
     target = PowerLawFit(c=target_c, alpha=target_alpha, r2=1.0, n=0)
@@ -207,39 +153,93 @@ def tune_dar(target_alpha, target_c, budget, seed, out) -> None:
         tradeio.write_table(Path(out), ["p", "gamma", "alpha", "c", "r2", "score"],
                             [(result.p, result.gamma, result.fit.alpha,
                               result.fit.c, result.fit.r2, result.score)])
-    click.echo(f"p={result.p:.4f} gamma={result.gamma:.4f} "
-               f"achieved_alpha={result.fit.alpha:.4f} achieved_c={result.fit.c:.4f} "
-               f"score={result.score:.6g}")
+    print(f"p={result.p:.4f} gamma={result.gamma:.4f} "
+          f"achieved_alpha={result.fit.alpha:.4f} achieved_c={result.fit.c:.4f} "
+          f"score={result.score:.6g}")
 
 
-@root.command("replay")
-@click.argument("run_dir")
-def replay_cmd(run_dir: str) -> None:
+def replay(run_dir: str) -> None:
     """Re-run a recorded run directory and verify byte-identical artifacts."""
     difference = runner.replay(run_dir)
     if difference is not None:
         raise NumericalError(f"replay of {run_dir} did not reproduce identical artifacts; "
                              f"first difference at {difference}")
-    click.echo("replay identical")
+    print("replay identical")
+
+
+def _parser() -> _Parser:
+    """The command tree; each command's function is its parser's ``run`` default."""
+    root = _Parser(prog="primesim", description="Agent-based exchange simulator and "
+                   "market-impact analysis pipeline.")
+    commands = root.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name: str, run=None, doc: str | None = None) -> _Parser:
+        parser = group.add_parser(name, help=doc or run.__doc__, description=doc or run.__doc__)
+        parser.set_defaults(run=run)
+        return parser
+
+    sim = command(commands, "simulate", simulate)
+    sim.add_argument("config_src", metavar="CONFIG_SRC")
+    sim.add_argument("--out", help="Run output directory (default: from config or ./run).")
+    _option(sim, "--seed", int, help="Override the config seed.")
+    sim.add_argument("--session", help="Override the session length (e.g. 30m).")
+
+    analyses = command(commands, "analyze", doc="Measurement pipeline over a run directory or "
+                       "trade/L1 CSV files.").add_subparsers(metavar="ANALYSIS", required=True)
+    imp, decay, acf = (command(analyses, name, run) for name, run in (
+        ("impact", analyze_impact), ("decay", analyze_decay), ("acf", analyze_acf)))
+    for parser in imp, decay, acf:
+        parser.add_argument("inputs", nargs="+", metavar="INPUTS")
+        parser.add_argument("--out", type=Path, default=".", help="Directory for result CSVs.")
+    _option(imp, "--delta", _POSITIVE, help="Pin the impact exponent instead of fitting.")
+    _option(imp, "--buckets", _number(int, 1), default=20,
+            help="At most this many quantile buckets: windows of equal net volume are never "
+                 "split, so counts differ by at most one only when no values tie.")
+    _option(decay, "--delta", _POSITIVE, help="Impact exponent (fitted when omitted).")
+    _option(decay, "--max-lag", _number(int, 0), default=impact.MAX_LAG,
+            help="Kernel lag horizon in windows.")
+    for parser in imp, decay:
+        _option(parser, "--window", parse_duration, default="5s", help="Resample window length.")
+        _option(parser, "--horizon", parse_duration, default="1h",
+                help="Trailing normalization horizon.")
+        _option(parser, "--min-periods", _number(int, 2), default=2,
+                help="Trailing windows required before samples are usable "
+                     "(at least 2: the volatility is a sample std).")
+    _option(acf, "--max-lag", _number(int, 1), default=impact.MAX_LAG,
+            help="Largest lag to estimate.")
+
+    tune = command(commands, "tune-dar", tune_dar)
+    _option(tune, "--target-alpha", _POSITIVE, required=True, help="Target ACF decay exponent.")
+    _option(tune, "--target-c", _POSITIVE, required=True, help="Target ACF amplitude.")
+    _option(tune, "--budget", _number(int, 1), default=200, help="Monte-Carlo candidates to draw.")
+    _option(tune, "--seed", int, default=0, help="Search seed.")
+    tune.add_argument("--out", help="Optional CSV for the result.")
+
+    command(commands, "replay", replay).add_argument("run_dir", metavar="RUN_DIR")
+    return root
 
 
 def cli(argv: list[str]) -> int:
     """Dispatch argv and map failures onto the documented exit codes."""
     try:
-        root.main(args=list(argv), prog_name="primesim", standalone_mode=False)
-    except click.exceptions.Abort:
+        try:
+            args = vars(_parser().parse_args(argv))
+        except SystemExit as exc:  # only --help exits, once it has printed the help
+            return exc.code
+        args.pop("run")(**args)
+    except KeyboardInterrupt:
         return EXIT_USAGE
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, OSError) as exc:
-        click.echo(f"data error: {exc}", err=True)
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, ValueError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

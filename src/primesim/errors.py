@@ -11,3 +11,7 @@ class DataError(Exception):
 
 class NumericalError(Exception):
     """An estimator could not produce a usable result."""
+
+
+class UsageError(Exception):
+    """A command line that cannot be run as given."""

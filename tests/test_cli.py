@@ -324,3 +324,51 @@ class TestUsage:
 
     def test_no_args_usage(self):
         assert cli([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["simulate"], ["analyze", "frobnicate"],
+                                      ["replay"], ["tune-dar", "--target-alpha", "0.6"],
+                                      ["simulate", "santa-fe", "extra"],
+                                      ["simulate", "santa-fe", "--out"],
+                                      ["simulate", "santa-fe", "-h"]])
+    def test_incomplete_or_extra_arguments(self, argv, capsys):
+        assert cli(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"],
+                                      ["analyze", "impact", "--help"],
+                                      ["tune-dar", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert cli(argv) == EXIT_OK
+        assert "--help" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["analyze", "impact", "IN", "--win", "1s"],
+                                      ["analyze", "acf", "IN", "--max", "5"],
+                                      ["simulate", "santa-fe", "--sess", "1m"],
+                                      ["tune-dar", "--target-a", "0.6", "--target-c", "0.2"]])
+    def test_option_prefixes_are_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["analyze", "impact", "IN", "--delta", "-1"], "--delta", "-1.0"),
+        (["analyze", "decay", "IN", "--max-lag", "-1"], "--max-lag", "-1"),
+        (["tune-dar", "--target-alpha", "0.6", "--target-c", "-0.2"], "--target-c", "-0.2"),
+    ])
+    def test_negative_numbers_are_values(self, argv, flag, value, capsys):
+        assert cli(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Invalid value for '{flag}': {value} ")
+
+    def test_interrupt_exits_with_usage_code(self, tmp_path, monkeypatch):
+        def interrupt(config, out_dir):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner, "run_simulation", interrupt)
+        assert cli(["simulate", "santa-fe", "--out", str(tmp_path / "x")]) == EXIT_USAGE
+
+    def test_command_output_lines(self, run_dir, capsys):
+        capsys.readouterr()
+        assert cli(["replay", str(run_dir)]) == EXIT_OK
+        assert capsys.readouterr().out == "replay identical\n"

@@ -63,7 +63,7 @@ def test_only_config_imports_yaml_and_only_when_a_config_is_read_or_written():
     assert importers("yaml", module_level=True) == set()
 
 
-GUARDED = ("yaml", "numpy.ma", "numpy.random")
+GUARDED = ("yaml", "numpy.ma", "numpy.random", "click")
 
 
 def loaded_after(code: str) -> set[str]:
@@ -118,3 +118,10 @@ def test_tuning_loads_no_yaml_or_masked_arrays():
     argv = ["tune-dar", "--target-alpha", "0.6", "--target-c", "0.2", "--budget", "3"]
     assert loaded_after(f"from primesim.cli import cli\nassert cli({argv!r}) == 0") <= \
         {"numpy.random"}
+
+
+def test_simulating_loads_no_masked_arrays_or_click(tmp_path):
+    # a simulation reads its preset (PyYAML) and draws from numpy.random; nothing else guarded
+    argv = ["simulate", "santa-fe", "--session", "10s", "--out", str(tmp_path / "run")]
+    assert loaded_after(f"from primesim.cli import cli\nassert cli({argv!r}) == 0") == \
+        {"yaml", "numpy.random"}
