@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, calibrate, impact, runner, tradeio
@@ -67,9 +66,13 @@ def simulate(config_src: str, out: str | None, seed: int | None, session: str | 
     """Run a session from a config file or a preset name (santa-fe, prime)."""
     config = _load_config_source(config_src)
     if seed is not None or session is not None:
-        config = replace(config, seed=config.seed if seed is None else seed,
-                         session_ns=config.session_ns if session is None
-                         else parse_duration(session))
+        from dataclasses import replace
+
+        config = replace(
+            config,
+            seed=config.seed if seed is None else seed,
+            session_ns=config.session_ns if session is None else parse_duration(session),
+        )
     out_dir = Path(out) if out else Path(config.output or "run")
     result = runner.run_simulation(config, out_dir)
     print(f"run written to {result.out_dir}")
@@ -89,7 +92,8 @@ def _load_inputs(inputs: list[str]):
     if len(inputs) == 1:
         return runner.load_run(inputs[0])
     if len(inputs) == 2:
-        return tradeio.read_trades(inputs[0]).records, tradeio.read_l1(inputs[1])
+        dump = tradeio.read_trades(inputs[0])
+        return dump.records, tradeio.read_l1(inputs[1])
     raise UsageError("pass a run directory or TRADES_CSV L1_CSV")
 
 
@@ -223,9 +227,14 @@ def cli(argv: list[str]) -> int:
     """Dispatch argv and map failures onto the documented exit codes."""
     try:
         try:
-            args = vars(_parser().parse_args(argv))
+            args, extra = _parser().parse_known_args(argv)
         except SystemExit as exc:  # only --help exits, once it has printed the help
             return exc.code
+        args = vars(args)
+        # argparse takes the input files in one run; as click did, also take those after options
+        if extra and ("inputs" not in args or any(a.startswith("-") for a in extra)):
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+        args.get("inputs", []).extend(extra)
         args.pop("run")(**args)
     except KeyboardInterrupt:
         return EXIT_USAGE

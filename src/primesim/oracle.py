@@ -71,14 +71,12 @@ def random_walk_series(
         raise ValueError("bad random walk parameters")
     n_steps = horizon_ns // step_ns
     increments = np.rint(rng.normal(0.0, sigma, size=n_steps)).astype(np.int64)
-    if start + 2 * np.abs(increments).sum(dtype=float) >= 2**62:
-        raise ValueError("random walk could leave the int64 tick range")
-    # level = max(1, level + inc) is a Lindley recursion: the free walk, lifted by as much
-    # as its running minimum has fallen below the floor
-    walk = np.cumsum(increments)
     prices = np.empty(n_steps + 1, dtype=np.int64)
     prices[0] = start
-    prices[1:] = walk + np.maximum(start, 1 - np.minimum.accumulate(walk))
+    level = start
+    for i, inc in enumerate(increments):
+        level = max(1, level + int(inc))
+        prices[i + 1] = level
     times = np.arange(n_steps + 1, dtype=np.int64) * step_ns
     return PriceSeries(times=times, prices=prices)
 

@@ -16,8 +16,7 @@ in their direct form: ``weighted_volume``, one dot product per window, which
 ``decay_regression``, a dense solve over the whole design, which the blocked
 ``primesim.impact.decay_regression`` must match to rounding. ``bucket_chunks``
 merges colliding bucket cuts with ``np.unique``; ``primesim.impact`` must cut
-the same chunks. ``random_walk`` clamps the oracle's walk one step at a time;
-``primesim.oracle.random_walk_series`` must build the same path in one pass.
+the same chunks.
 """
 
 from __future__ import annotations
@@ -294,13 +293,3 @@ def bucket_chunks(q: np.ndarray, q_net: np.ndarray | None, n_buckets: int) -> li
     cuts = np.arange(1, n_buckets) * size + np.minimum(np.arange(1, n_buckets), extra)
     moved = np.searchsorted(allowed, cuts)
     return np.split(order, np.unique(allowed[moved[moved < allowed.size]]))
-
-
-def random_walk(start: int, sigma: float, step_ns: int, horizon_ns: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Prices of the oracle's random walk, clamped one step at a time: max(1, level + inc)."""
-    increments = np.rint(rng.normal(0.0, sigma, size=horizon_ns // step_ns)).astype(np.int64)
-    prices = [start]
-    for inc in increments:
-        prices.append(max(1, prices[-1] + int(inc)))
-    return np.array(prices, dtype=np.int64)

@@ -188,6 +188,21 @@ class TestAnalyze:
         assert (out / "acf.csv").exists()
         assert not (out / "acf_powerlaw.csv").exists()
 
+    @pytest.mark.parametrize("command,options", [
+        ("impact", ["--window", "1s", "--min-periods", "30"]),
+        ("decay", ["--window", "1s", "--min-periods", "30", "--max-lag", "20"]),
+        ("acf", ["--max-lag", "20"]),
+    ])
+    def test_input_files_split_around_options(self, run_dir, tmp_path, command, options, capsys):
+        trades, l1 = str(run_dir / "trades.csv"), str(run_dir / "l1.csv")
+        together, split = tmp_path / "together", tmp_path / "split"
+        assert cli(["analyze", command, trades, l1, *options, "--out", str(together)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert cli(["analyze", command, trades, *options, l1, "--out", str(split)]) == EXIT_OK
+        assert capsys.readouterr().out == printed
+        for name in sorted(p.name for p in together.iterdir()):
+            assert (split / name).read_bytes() == (together / name).read_bytes()
+
     def test_missing_inputs_data_error(self, tmp_path):
         assert cli(["analyze", "impact", str(tmp_path)]) == EXIT_DATA
 
@@ -329,6 +344,8 @@ class TestUsage:
                                       ["replay"], ["tune-dar", "--target-alpha", "0.6"],
                                       ["simulate", "santa-fe", "extra"],
                                       ["simulate", "santa-fe", "--out"],
+                                      ["analyze", "impact", "T", "--window", "1s", "L", "M"],
+                                      ["analyze", "acf", "T", "--max-lag", "5", "-x"],
                                       ["simulate", "santa-fe", "-h"]])
     def test_incomplete_or_extra_arguments(self, argv, capsys):
         assert cli(argv) == EXIT_USAGE
@@ -372,3 +389,14 @@ class TestUsage:
         capsys.readouterr()
         assert cli(["replay", str(run_dir)]) == EXIT_OK
         assert capsys.readouterr().out == "replay identical\n"
+
+    def test_value_starting_with_a_dash_needs_an_equals_sign(self, tmp_path, capsys):
+        # argparse reads only a plain negative number as the value of an option
+        out = tmp_path / "x"
+        assert cli(["simulate", "santa-fe", "--session", "-5s", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cli(["simulate", "santa-fe", "--session=-5s", "--out", str(out)]) == EXIT_CONFIG
+        assert "cannot parse duration '-5s'" in capsys.readouterr().err
+        assert cli(["analyze", "impact", "IN", "--delta=-1e-3"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: Invalid value for '--delta': ")
+        assert not out.exists()

@@ -2,10 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-
-import reference
 
 from primesim.config import ConstantOracle, RandomWalkOracle
 from primesim.errors import DataError
@@ -14,7 +10,6 @@ from primesim.oracle import (
     constant_series,
     make_series,
     observe,
-    random_walk_series,
     series_from_file,
     true_price_at,
     write_series,
@@ -111,29 +106,6 @@ class TestMakeSeries:
                              60 * 10**9, np.random.default_rng(4))
         assert list(series.times) == [k * 5 * 10**9 for k in range(13)]
         assert series.prices.min() >= 1
-
-
-class TestRandomWalk:
-    @settings(max_examples=300, deadline=None)
-    @given(start=st.integers(1, 1000), sigma=st.floats(0, 100), step_ns=st.integers(1, 10),
-           horizon_ns=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
-    @example(start=1, sigma=40.0, step_ns=1, horizon_ns=2000, seed=0)  # the floor, often
-    @example(start=3, sigma=0.0, step_ns=7, horizon_ns=700, seed=1)    # zero steps only
-    @example(start=9, sigma=0.3, step_ns=5, horizon_ns=4, seed=2)      # no step at all
-    def test_matches_the_step_by_step_walk(self, start, sigma, step_ns, horizon_ns, seed):
-        series = random_walk_series(start, sigma, step_ns, horizon_ns, np.random.default_rng(seed))
-        expected = reference.random_walk(start, sigma, step_ns, horizon_ns,
-                                         np.random.default_rng(seed))
-        assert series.prices.dtype == np.int64
-        assert np.array_equal(series.prices, expected)
-
-    def test_floor_example_sits_on_the_floor(self):
-        prices = reference.random_walk(1, 40.0, 1, 2000, np.random.default_rng(0))
-        assert (prices == 1).sum() > 10
-
-    def test_walk_that_could_overflow_is_refused(self):
-        with pytest.raises(ValueError, match="int64"):
-            random_walk_series(1, 1e17, 1, 1000, np.random.default_rng(0))
 
 
 class TestSeriesFile:
