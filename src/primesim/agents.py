@@ -28,14 +28,16 @@ from .config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
 from .darp import DarpParams, generate_signs
 from .kernel import next_poisson_wakeup
 from .oracle import observe
-from .rng import BLOCK
+from .rng import BLOCK, BatchedRng
 
 
 class Agent:
     """Self-clocking Poisson agent; subclasses implement wakeup(sim)."""
 
+    __slots__ = ("agent_id", "group", "wake_rate", "rng")
+
     def __init__(self, agent_id: int, group: ZiLimitGroup | ZiMarketGroup | TechnicalGroup,
-                 rng: np.random.Generator):
+                 rng: BatchedRng):
         self.agent_id = agent_id
         self.group = group
         self.wake_rate = group.wake_rate
@@ -49,7 +51,9 @@ class Agent:
 
 
 class ZiLimitAgent(Agent):
-    def __init__(self, agent_id: int, group: ZiLimitGroup, rng: np.random.Generator):
+    __slots__ = ("_live",)
+
+    def __init__(self, agent_id: int, group: ZiLimitGroup, rng: BatchedRng):
         super().__init__(agent_id, group, rng)
         self._live: list[int] = []  # own order ids, oldest first
 
@@ -93,6 +97,8 @@ class ZiLimitAgent(Agent):
 class ZiMarketAgent(Agent):
     """Market agent on a santa_fe-mode ZiMarketGroup: side by fair coin."""
 
+    __slots__ = ()
+
     def wakeup(self, sim) -> None:
         side = Side.BID if self.rng.random() <= 0.5 else Side.ASK
         sim.place_market(self.agent_id, side, self.group.size)
@@ -105,7 +111,9 @@ class DarpMarketAgent(Agent):
     continuing from the last n signs of the one before.
     """
 
-    def __init__(self, agent_id: int, group: ZiMarketGroup, rng: np.random.Generator):
+    __slots__ = ("params", "history", "_pending")
+
+    def __init__(self, agent_id: int, group: ZiMarketGroup, rng: BatchedRng):
         super().__init__(agent_id, group, rng)
         self.params = DarpParams(p=group.darp_p, gamma=group.darp_gamma, n=group.darp_n,
                                  literal_branch=group.darp_literal_branch)
@@ -126,6 +134,8 @@ class PrimeMarketAgent(Agent):
     """Fundamental agent on a prime-mode ZiMarketGroup: buys when the observed
     true price exceeds the mid."""
 
+    __slots__ = ()
+
     def wakeup(self, sim) -> None:
         observed = observe(sim.series, sim.now, self.group.noise, self.rng)
         mid2x = sim.book.mid2x
@@ -143,7 +153,9 @@ class PrimeMarketAgent(Agent):
 class TechnicalAgent(Agent):
     """Market agent of a trend or mean_revert TechnicalGroup."""
 
-    def __init__(self, agent_id: int, group: TechnicalGroup, rng: np.random.Generator,
+    __slots__ = ("kind",)
+
+    def __init__(self, agent_id: int, group: TechnicalGroup, rng: BatchedRng,
                  kind: str):
         if kind not in ("trend", "mean_revert"):
             raise ValueError(f"unknown technical kind {kind!r}")

@@ -216,7 +216,7 @@ def _parser() -> _Parser:
     _option(tune, "--target-alpha", _POSITIVE, required=True, help="Target ACF decay exponent.")
     _option(tune, "--target-c", _POSITIVE, required=True, help="Target ACF amplitude.")
     _option(tune, "--budget", _number(int, 1), default=200, help="Monte-Carlo candidates to draw.")
-    _option(tune, "--seed", int, default=0, help="Search seed.")
+    _option(tune, "--seed", _number(int, 0), default=0, help="Search seed.")
     tune.add_argument("--out", help="Optional CSV for the result.")
 
     command(commands, "replay", replay).add_argument("run_dir", metavar="RUN_DIR")

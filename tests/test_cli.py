@@ -242,6 +242,7 @@ class TestOptionRanges:
         ["analyze", "decay", "IN", "--delta", "nan"],
         ["tune-dar", "--target-alpha", "nan", "--target-c", "0.2", "--budget", "3"],
         ["tune-dar", "--target-alpha", "0.6", "--target-c", "inf", "--budget", "3"],
+        ["tune-dar", "--target-alpha", "0.5", "--target-c", "0.4", "--budget", "2", "--seed", "-1"],
         ["analyze", "impact", "IN", "--min-periods", "-5"],
         ["analyze", "decay", "IN", "--min-periods", "0"],
         ["analyze", "impact", "IN", "--window", "0s"],

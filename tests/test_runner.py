@@ -1,7 +1,11 @@
 """Run orchestration: artifact layout, determinism, atomicity, ecology checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primesim import runner
 from primesim.analysis import time_averaged_mid
@@ -156,8 +160,6 @@ class TestEcologies:
 
     def test_santa_fe_stationarity_smoke(self):
         config = load_preset("santa-fe")
-        from dataclasses import replace
-
         config = replace(config, session_ns=2400 * NS)
         sim = build_simulation(config)
         spreads, depths = [], []
@@ -176,8 +178,6 @@ class TestEcologies:
 
     @pytest.mark.parametrize("preset", ["prime", "santa-fe"])
     def test_quantity_conserved_and_book_uncrossed(self, preset):
-        from dataclasses import replace
-
         config = replace(load_preset(preset), session_ns=60 * NS)
         sim = build_simulation(config)
         stats = sim.run_until(config.session_ns)
@@ -193,6 +193,13 @@ class TestEcologies:
         sim = build_simulation(config)
         assert len(sim._agents) == 1050
 
+    @pytest.mark.parametrize("preset", ["prime", "santa-fe"])
+    def test_agents_and_their_streams_keep_no_dict(self, preset):
+        sim = build_simulation(load_preset(preset))
+        for agent in sim._agents.values():
+            assert not hasattr(agent, "__dict__"), type(agent).__name__
+            assert not hasattr(agent.rng, "__dict__")
+
     def test_darp_market_mode_wiring(self):
         from primesim.agents import DarpMarketAgent
         from primesim.impact import order_sign_acf
@@ -205,6 +212,29 @@ class TestEcologies:
         darp_agents = [a for a in sim._agents.values() if isinstance(a, DarpMarketAgent)]
         assert len(darp_agents) == 1
         assert darp_agents[0].params.p == 0.95
+        assert not hasattr(darp_agents[0], "__dict__")
         sim.run_until(config.session_ns)
         signs = sim.trades.column("sign")
         assert order_sign_acf(signs, max_lag=1)[0] > 0.1  # persistent flow reaches the tape
+
+
+SPLIT_SESSION_NS = 60 * NS
+
+
+class TestSplitRuns:
+    @pytest.mark.parametrize("preset", ["prime", "santa-fe"])
+    @settings(max_examples=3, deadline=None)
+    @given(cuts=st.lists(st.integers(0, SPLIT_SESSION_NS), min_size=1, max_size=4))
+    def test_run_split_at_any_times_matches_one_run(self, preset, cuts):
+        config = replace(load_preset(preset), session_ns=SPLIT_SESSION_NS)
+        whole, split = build_simulation(config), build_simulation(config)
+        whole.run_until(SPLIT_SESSION_NS)
+        for t in sorted(cuts) + [SPLIT_SESSION_NS]:
+            split.run_until(t)
+        for log in ("trades", "quotes"):
+            a, b = getattr(whole, log), getattr(split, log)
+            for name in a._columns:
+                assert getattr(a, name) == getattr(b, name), (log, name)
+        assert len(whole.trades) > 0
+        for a, b in zip(whole._agents.values(), split._agents.values(), strict=True):
+            assert a.rng.state == b.rng.state, a.agent_id
