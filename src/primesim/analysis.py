@@ -9,7 +9,7 @@ import numpy as np
 
 from . import impact, tradeio
 from .impact import BucketStats, DecayKernel, DeltaFit, PowerLawFit, Samples, Windows
-from .kernel import QuoteLog, TradeTape
+from .tradeio import QuoteLog, TradeTape
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import analysis, calibrate, impact, runner, tradeio
+from . import analysis, calibrate, impact, tradeio
 from .config import PRESET_NAMES, load_config, load_preset, parse_duration
 from .errors import ConfigError, DataError, NumericalError, UsageError
 from .impact import PowerLawFit
@@ -64,6 +64,8 @@ _POSITIVE = _number(float, 0, above=True)
 
 def simulate(config_src: str, out: str | None, seed: int | None, session: str | None) -> None:
     """Run a session from a config file or a preset name (santa-fe, prime)."""
+    from . import runner  # only the commands that run a session load the simulator
+
     config = _load_config_source(config_src)
     if seed is not None or session is not None:
         from dataclasses import replace
@@ -90,7 +92,7 @@ def _load_config_source(src: str):
 
 def _load_inputs(inputs: list[str]):
     if len(inputs) == 1:
-        return runner.load_run(inputs[0])
+        return tradeio.load_run(inputs[0])
     if len(inputs) == 2:
         dump = tradeio.read_trades(inputs[0])
         return dump.records, tradeio.read_l1(inputs[1])
@@ -135,7 +137,7 @@ def analyze_acf(inputs, max_lag, out) -> None:
         raise UsageError("pass a run directory or TRADES_CSV [L1_CSV]")
     path = Path(inputs[0])
     if len(inputs) == 1 and path.is_dir():
-        path /= runner.TRADES_FILE
+        path /= tradeio.TRADES_FILE
     trades = tradeio.read_trades(path).records
     acf = impact.order_sign_acf(trades.column("sign"), max_lag=max_lag)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,6 +166,8 @@ def tune_dar(target_alpha, target_c, budget, seed, out) -> None:
 
 def replay(run_dir: str) -> None:
     """Re-run a recorded run directory and verify byte-identical artifacts."""
+    from . import runner
+
     difference = runner.replay(run_dir)
     if difference is not None:
         raise NumericalError(f"replay of {run_dir} did not reproduce identical artifacts; "

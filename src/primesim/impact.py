@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .kernel import QuoteLog, TradeTape
+from .tradeio import QuoteLog, TradeTape
 
 WINDOW_NS = 5_000_000_000            # 5 s resample windows
 HORIZON_NS = 3_600_000_000_000       # 1 h trailing normalization horizon

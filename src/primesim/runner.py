@@ -19,14 +19,10 @@ from .agents import DarpMarketAgent, PrimeMarketAgent, TechnicalAgent, ZiLimitAg
 from .book import OrderBook
 from .config import GROUPS, RunConfig, dump_config, load_config
 from .errors import ConfigError, DataError, NumericalError
-from .kernel import QuoteLog, RunStats, Simulation, TradeTape, agent_stream, oracle_stream
+from .kernel import RunStats, Simulation, agent_stream, oracle_stream
 from .oracle import make_series
 from .rng import BatchedRng
-
-TRADES_FILE = "trades.csv"
-L1_FILE = "l1.csv"
-SUMMARY_FILE = "summary.txt"
-CONFIG_FILE = "config.yaml"
+from .tradeio import CONFIG_FILE, L1_FILE, SUMMARY_FILE, TRADES_FILE
 
 
 @dataclass(frozen=True)
@@ -125,12 +121,6 @@ def _write_artifacts(dest: Path, config: RunConfig, sim: Simulation, stats: RunS
         "final_best_bid": "" if book.best_bid is None else book.best_bid,
         "final_best_ask": "" if book.best_ask is None else book.best_ask,
     })
-
-
-def load_run(run_dir: str | Path) -> tuple[TradeTape, QuoteLog]:
-    """The trade tape and quote log of a run directory (or equivalent layout)."""
-    run_dir = Path(run_dir)
-    return tradeio.read_trades(run_dir / TRADES_FILE).records, tradeio.read_l1(run_dir / L1_FILE)
 
 
 def replay(run_dir: str | Path) -> str | None:

@@ -4,8 +4,11 @@ Trade tape: ``ts,price,qty,aggressor[,taker_agent]`` with ns timestamps,
 integer tick prices, unit quantities, and B/S aggressor flags. Level-1 log:
 ``ts,best_bid,best_ask`` with empty fields for absent sides. Real exchange
 dumps use the same four trade columns, so both feed the same estimators.
-The readers fill the simulator's own column types, ``TradeTape`` and
-``QuoteLog``, so files and in-memory runs reach the estimators alike. A file
+Both schemas have an in-memory form, the column logs ``TradeTape`` and
+``QuoteLog``: the simulator records into them, the writers write them and the
+readers fill them, so files and in-memory runs reach the estimators alike. A
+run directory holds the two files under ``TRADES_FILE`` and ``L1_FILE``, next
+to ``SUMMARY_FILE`` and ``CONFIG_FILE``; ``load_run`` reads it back. A file
 is read by one ``np.loadtxt`` call when every row parses, and row by row
 otherwise; the row parser is the one definition of what a row means, and
 both give the same columns. Every input CSV read row by row, the oracle's
@@ -24,16 +27,120 @@ from typing import Iterable
 
 import numpy as np
 
-from .book import Side
 from .errors import DataError
-from .kernel import QuoteLog, TradeTape
 
 TRADE_HEADER = ["ts", "price", "qty", "aggressor", "taker_agent"]
 L1_HEADER = ["ts", "best_bid", "best_ask"]
 
+TRADES_FILE = "trades.csv"
+L1_FILE = "l1.csv"
+SUMMARY_FILE = "summary.txt"
+CONFIG_FILE = "config.yaml"
+
 _SIGNS = {"B": 1, "S": -1}
+_AGGRESSOR_FLAG = {sign: flag for flag, sign in _SIGNS.items()}
 _INT64_MAX = 2**63 - 1
 _SCAN_BYTES = 1 << 20
+
+
+class _ColumnLog:
+    """Append-only int64 columns, one ``array('q')`` attribute per name.
+
+    Subclasses name their columns (the first is ``ts``) and ``extend`` them
+    from rows; the log is read by column, never by row. A log made by
+    ``from_columns`` over numpy columns (as the file readers make) is read-only.
+    """
+
+    _columns: tuple[str, ...] = ()
+
+    def __init__(self, rows: Iterable = ()) -> None:
+        for name in self._columns:
+            setattr(self, name, array("q"))
+        self.extend(rows)
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    @classmethod
+    def from_columns(cls, **columns: array | np.ndarray):
+        """A log over whole int64 columns of equal length, taken as they are (no copy).
+
+        A column is an ``array('q')`` or a 1-D int64 numpy array, which may be a
+        view of a larger block; several names may share one array.
+        """
+        if set(columns) != set(cls._columns) or len({len(c) for c in columns.values()}) > 1:
+            raise ValueError(f"need equal-length columns {cls._columns}")
+        log = cls()
+        for name, column in columns.items():
+            setattr(log, name, column)
+        return log
+
+    def column(self, name: str) -> np.ndarray:
+        """One column as an int64 numpy view of the log's own memory (no copy)."""
+        return np.asarray(getattr(self, name))
+
+
+class TradeTape(_ColumnLog):
+    """The trade tape as columns; a row is one fill as ``OrderBook`` emits it.
+
+    ``sign`` is the aggressor's side sign (+1 buy, -1 sell).
+    """
+
+    _columns = ("ts", "price", "qty", "sign", "maker_order", "taker_agent")
+
+    def extend(self, fills: Iterable[tuple[int, ...]]) -> None:
+        for ts, price, qty, sign, maker_order, taker_agent in fills:
+            self.ts.append(ts)
+            self.price.append(price)
+            self.qty.append(qty)
+            self.sign.append(sign)
+            self.maker_order.append(maker_order)
+            self.taker_agent.append(taker_agent)
+
+
+class QuoteLog(_ColumnLog):
+    """Top-of-book changes as columns ``ts, bid, ask, mid2x``.
+
+    Rows are appended as ``(ts, bid, ask)`` with None for an empty side. Prices
+    are ticks >= 1, so 0 marks an empty side in the columns. ``mid2x``
+    carries the last two-sided mid (x2) forward and is 0 before there is one.
+    """
+
+    _columns = ("ts", "bid", "ask", "mid2x")
+
+    def append(self, ts: int, bid: int | None, ask: int | None) -> None:
+        mids = self.mid2x
+        self.ts.append(ts)
+        self.bid.append(bid or 0)
+        self.ask.append(ask or 0)
+        if bid is not None and ask is not None:
+            mids.append(bid + ask)
+        else:
+            mids.append(mids[-1] if mids else 0)
+
+    def extend(self, rows: Iterable[tuple[int, int | None, int | None]]) -> None:
+        for ts, bid, ask in rows:
+            self.append(ts, bid, ask)
+
+    @classmethod
+    def from_sides(cls, ts: np.ndarray, bid: np.ndarray, ask: np.ndarray) -> QuoteLog:
+        """A read-only log over int64 side columns (0 for an empty side).
+
+        ``mid2x`` is carried forward exactly as ``append`` carries it; the
+        caller keeps ``bid + ask`` inside int64.
+        """
+        two_sided = (bid > 0) & (ask > 0)
+        last = np.maximum.accumulate(np.where(two_sided, np.arange(len(ts)), -1))
+        mid2x = np.where(last >= 0, (bid + ask)[last], 0)
+        return cls.from_columns(ts=ts, bid=bid, ask=ask, mid2x=mid2x)
+
+    def mid2x_at(self, times) -> np.ndarray:
+        """``mid2x`` of the last row at or before each time; 0 where there is no mid yet.
+
+        Rows must be sorted by ``ts``.
+        """
+        rows = np.searchsorted(self.column("ts"), times, side="right")
+        return np.concatenate(([0], self.column("mid2x")))[rows]
 
 
 @dataclass(frozen=True)
@@ -213,7 +320,10 @@ def read_l1(path: str | Path) -> QuoteLog:
     return QuoteLog.from_sides(*(_parse_l1_rows(path) if block is None else block.T))
 
 
-_AGGRESSOR_FLAG = {side.sign: side.value for side in Side}
+def load_run(run_dir: str | Path) -> tuple[TradeTape, QuoteLog]:
+    """The trade tape and quote log of a run directory (or equivalent layout)."""
+    run_dir = Path(run_dir)
+    return read_trades(run_dir / TRADES_FILE).records, read_l1(run_dir / L1_FILE)
 
 
 def _blank_if_zero(price: int) -> int | str:

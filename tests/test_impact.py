@@ -29,8 +29,8 @@ from primesim.impact import (
     split_by_previous_sign,
     weighted_volume,
 )
-from primesim.kernel import QuoteLog, TradeTape
 from primesim.runner import build_simulation
+from primesim.tradeio import QuoteLog, TradeTape
 
 import reference
 

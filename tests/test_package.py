@@ -12,19 +12,6 @@ import pytest
 import primesim
 
 
-def test_every_exported_name_resolves():
-    assert [name for name in primesim.__all__ if not hasattr(primesim, name)] == []
-    assert len(set(primesim.__all__)) == len(primesim.__all__)
-
-
-def test_star_import_binds_exactly_the_exports():
-    namespace = {}
-    exec("from primesim import *", namespace)
-    namespace.pop("__builtins__")
-    assert set(namespace) == set(primesim.__all__)
-    assert {"Trade", "L1Snapshot"}.isdisjoint(namespace)
-
-
 def test_importing_the_cli_leaves_numpy_random_unimported():
     # numpy.random costs ~14 ms and ~5.6 MB to import; the random streams make
     # it at first use, so command-line start-up does not pay for it
@@ -36,13 +23,16 @@ def test_importing_the_cli_leaves_numpy_random_unimported():
 
 
 def imported(node, module_level=False):
-    """Top-level package of each absolute import under node; with module_level,
-    none made inside a function body."""
+    """Top-level package of each absolute import under node, and the sibling
+    module of each relative one; with module_level, none made inside a function
+    body."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Import):
             yield from (alias.name.split(".")[0] for alias in child.names)
         elif isinstance(child, ast.ImportFrom) and child.level == 0:
             yield child.module.split(".")[0]
+        elif isinstance(child, ast.ImportFrom):  # from .x import a, or from . import a, b
+            yield from ([child.module] if child.module else (a.name for a in child.names))
         elif not (module_level and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))):
             yield from imported(child, module_level)
 
@@ -63,13 +53,28 @@ def test_only_config_imports_yaml_and_only_when_a_config_is_read_or_written():
     assert importers("yaml", module_level=True) == set()
 
 
+SIMULATOR = ("book", "kernel", "rng", "agents", "oracle", "runner")
+MEASUREMENT = ("config", "errors", "tradeio", "impact", "analysis", "darp", "calibrate")
+
+
+def test_measurement_modules_import_no_simulator_module():
+    # the two halves meet in tradeio's schemas, column logs and run-directory layout
+    assert {m: importers(m) & set(MEASUREMENT) for m in SIMULATOR} == \
+        {m: set() for m in SIMULATOR}
+
+
+def test_cli_imports_the_runner_only_inside_the_commands_that_run_sessions():
+    assert importers("runner") == {"cli"}
+    assert importers("runner", module_level=True) == set()
+
+
 GUARDED = ("yaml", "numpy.ma", "numpy.random", "click")
 
 
-def loaded_after(code: str) -> set[str]:
-    """Which of GUARDED a fresh interpreter has imported once it has run code,
+def loaded_after(code: str, guarded=GUARDED) -> set[str]:
+    """Which of guarded a fresh interpreter has imported once it has run code,
     read off the last line it prints."""
-    code += f"\nimport sys; print(' '.join(m for m in {GUARDED!r} if m in sys.modules))"
+    code += f"\nimport sys; print(' '.join(m for m in {tuple(guarded)!r} if m in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(Path(primesim.__file__).parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
@@ -104,24 +109,45 @@ def dump(tmp_path_factory):
     return trades, l1
 
 
-@pytest.mark.parametrize("argv", [
+ANALYSES = [
     ["analyze", "impact", "--window", "1s", "--min-periods", "30"],
     ["analyze", "decay", "--window", "1s", "--min-periods", "30", "--max-lag", "5"],
     ["analyze", "acf", "--max-lag", "10"],
-])
+]
+TUNING = ["tune-dar", "--target-alpha", "0.6", "--target-c", "0.2", "--budget", "3"]
+SIMULATE = ["simulate", "santa-fe", "--session", "10s"]
+
+
+@pytest.mark.parametrize("argv", ANALYSES)
 def test_analysis_loads_no_yaml_masked_arrays_or_random_streams(dump, tmp_path, argv):
     argv = [*argv, *map(str, dump), "--out", str(tmp_path)]
     assert loaded_after(f"from primesim.cli import cli\nassert cli({argv!r}) == 0") == set()
 
 
 def test_tuning_loads_no_yaml_or_masked_arrays():
-    argv = ["tune-dar", "--target-alpha", "0.6", "--target-c", "0.2", "--budget", "3"]
-    assert loaded_after(f"from primesim.cli import cli\nassert cli({argv!r}) == 0") <= \
+    assert loaded_after(f"from primesim.cli import cli\nassert cli({TUNING!r}) == 0") <= \
         {"numpy.random"}
 
 
 def test_simulating_loads_no_masked_arrays_or_click(tmp_path):
     # a simulation reads its preset (PyYAML) and draws from numpy.random; nothing else guarded
-    argv = ["simulate", "santa-fe", "--session", "10s", "--out", str(tmp_path / "run")]
+    argv = [*SIMULATE, "--out", str(tmp_path / "run")]
     assert loaded_after(f"from primesim.cli import cli\nassert cli({argv!r}) == 0") == \
         {"yaml", "numpy.random"}
+
+
+SIMULATOR_MODULES = {f"primesim.{m}" for m in SIMULATOR}
+
+
+def test_analysis_and_tuning_load_no_simulator_module(dump, tmp_path):
+    assert loaded_after("import primesim.cli", SIMULATOR_MODULES) == set()
+    runs = [[*argv, *map(str, dump), "--out", str(tmp_path / argv[1])] for argv in ANALYSES]
+    code = "from primesim.cli import cli\n" + "".join(
+        f"assert cli({argv!r}) == 0\n" for argv in [*runs, TUNING])
+    assert loaded_after(code, SIMULATOR_MODULES) == set()
+
+
+def test_simulating_loads_every_simulator_module(tmp_path):
+    argv = [*SIMULATE, "--out", str(tmp_path / "run")]
+    code = f"from primesim.cli import cli\nassert cli({argv!r}) == 0"
+    assert loaded_after(code, SIMULATOR_MODULES) == SIMULATOR_MODULES

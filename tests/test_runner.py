@@ -14,17 +14,15 @@ from primesim.cli import EXIT_NUMERICAL, cli
 from primesim.config import load_preset, loads_config
 from primesim.errors import ConfigError, NumericalError
 from primesim.kernel import Simulation
-from primesim.runner import (
+from primesim.runner import build_simulation, replay, run_simulation
+from primesim.tradeio import (
     CONFIG_FILE,
     L1_FILE,
     SUMMARY_FILE,
     TRADES_FILE,
-    build_simulation,
     load_run,
-    replay,
-    run_simulation,
+    read_summary,
 )
-from primesim.tradeio import read_summary
 
 from reference import quote_rows
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from primesim import tradeio
 from primesim.errors import DataError
-from primesim.kernel import QuoteLog, TradeTape
 from primesim.tradeio import (
+    QuoteLog,
+    TradeTape,
     read_l1,
     read_trades,
     read_summary,
