@@ -15,11 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .book import LimitOrder, MarketResult, OrderBook, Side
-from .tradeio import QuoteLog, TradeTape
+from .tradeio import L1Writer, QuoteLog, TradeTape
 
 # Stream namespaces under the master seed.
 _AGENT_SPACE = 1
 _ORACLE_SPACE = 2
+
+# Quote rows held before a simulation with an L1 writer first spills its log.
+SPILL_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -53,17 +56,25 @@ class Simulation:
     next_wakeup_delay(). During wakeup they act through place_limit /
     place_market / cancel and read the book and the views below. After each
     wakeup the kernel reschedules the agent (self-clocking arrivals).
+
+    Fills go to ``trades``, a ``TradeTape`` unless a ``TradeWriter`` is given.
+    With an ``l1`` writer, at ``SPILL_ROWS`` quote rows and each time the log
+    doubles, rows before the one in force at now - horizon go to it and are dropped.
     """
 
-    def __init__(self, book: OrderBook, series=None, start: int = 0):
+    def __init__(self, book: OrderBook, series=None, start: int = 0, trades=None,
+                 l1: L1Writer | None = None, horizon: int = 0):
         self.book = book
         self.series = series  # the oracle's PriceSeries, or None without an oracle
-        self.now = start
+        self.now = self._start = start
         self._heap: list[tuple[int, int, int]] = []  # (time, seq, agent_id)
         self._next_seq = 0
         self._agents: dict[int, object] = {}
-        self.trades = TradeTape()
+        self.trades = TradeTape() if trades is None else trades
         self.quotes = QuoteLog()  # one row per change of (best bid, best ask)
+        self.horizon = horizon
+        self._l1 = l1
+        self._spill_at = float("inf") if l1 is None else SPILL_ROWS
         self._last_quote: tuple[int | None, int | None] | None = None
         self.events_dispatched = 0
         self.log_quote()
@@ -107,11 +118,7 @@ class Simulation:
             heapq.heappush(heap, (time + delay, seq, agent_id))
         self.events_dispatched += dispatched
         self.now = end
-        return RunStats(
-            events_dispatched=self.events_dispatched,
-            n_trades=len(self.trades),
-            traded_qty=self.book.traded_qty,
-        )
+        return RunStats(self.events_dispatched, len(self.trades), self.book.traded_qty)
 
     # -------------------------------------------------------------- actions
 
@@ -136,12 +143,15 @@ class Simulation:
     # ---------------------------------------------------------------- views
 
     def mid2x_at(self, t: int) -> int | None:
-        """Last two-sided mid (x2) at or before t; None before there is one."""
-        if t < 0:
+        """Last two-sided mid (x2) at or before t; None before there is one.
+
+        Exact for t >= now - horizon; ValueError if the quote rows for t were dropped.
+        """
+        if t < self._start:
             return None
         i = bisect_right(self.quotes.ts, t) - 1
         if i < 0:
-            return None
+            raise ValueError(f"quote rows at or before {t} were written out and dropped")
         return self.quotes.mid2x[i] or None
 
     # ------------------------------------------------------------- recording
@@ -156,4 +166,12 @@ class Simulation:
         if quote == self._last_quote:
             return
         self._last_quote = quote
-        self.quotes.append(self.now, quote[0], quote[1])
+        quotes = self.quotes
+        quotes.append(self.now, quote[0], quote[1])
+        if len(quotes) >= self._spill_at:
+            n = bisect_right(quotes.ts, self.now - self.horizon) - 1  # the row in force
+            if n > 0:
+                self._l1.write(quotes, n)
+                for column in (quotes.ts, quotes.bid, quotes.ask, quotes.mid2x):
+                    del column[:n]
+            self._spill_at = max(SPILL_ROWS, 2 * len(quotes))

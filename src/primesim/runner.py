@@ -1,8 +1,8 @@
 """Build configured simulations, run them, and write run directories atomically.
 
-A run directory holds trades.csv, l1.csv, summary.txt, and the resolved
-config.yaml used to produce them, so any run can be replayed byte-identically
-from its own artifacts.
+A session streams trades.csv and l1.csv into its run directory as it runs, so
+memory does not grow with its length; summary.txt and the resolved config.yaml
+follow, so any run can be replayed byte-identically from its own artifacts.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from pathlib import Path
 from . import tradeio
 from .agents import DarpMarketAgent, PrimeMarketAgent, TechnicalAgent, ZiLimitAgent, ZiMarketAgent
 from .book import OrderBook
-from .config import GROUPS, RunConfig, dump_config, load_config
+from .config import GROUPS, RunConfig, TechnicalGroup, dump_config, load_config
 from .errors import ConfigError, DataError, NumericalError
 from .kernel import RunStats, Simulation, agent_stream, oracle_stream
 from .oracle import make_series
 from .rng import BatchedRng
-from .tradeio import CONFIG_FILE, L1_FILE, SUMMARY_FILE, TRADES_FILE
+from .tradeio import CONFIG_FILE, L1_FILE, SUMMARY_FILE, TRADES_FILE, L1Writer, TradeWriter
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,13 @@ AGENT_CLASSES = {
 }
 
 
-def build_simulation(config: RunConfig) -> Simulation:
+def build_simulation(config: RunConfig, trades: TradeWriter | None = None,
+                     l1: L1Writer | None = None) -> Simulation:
     """Seeded book, oracle series, and the configured agent census.
 
     Agent ids count up from 0 through the groups in GROUPS order, and each
-    agent draws from its own stream agent_stream(seed, id).
+    agent draws from its own stream agent_stream(seed, id). The writers, if
+    given, take the tape and the quote log beyond the longest technical lookback.
     """
     book = OrderBook()
     if config.book is not None:
@@ -55,12 +57,12 @@ def build_simulation(config: RunConfig) -> Simulation:
     series = None
     if config.oracle is not None:
         series = make_series(config.oracle, config.session_ns, oracle_stream(config.seed))
-    sim = Simulation(book, series=series)
+    groups = {name: getattr(config, name) for name in GROUPS if getattr(config, name)}
+    horizon = max((g.lookback_ns for g in groups.values()
+                   if isinstance(g, TechnicalGroup) and g.count), default=0)
+    sim = Simulation(book, series=series, trades=trades, l1=l1, horizon=horizon)
     aid = 0
-    for name in GROUPS:
-        group = getattr(config, name)
-        if group is None:
-            continue
+    for name, group in groups.items():
         make = AGENT_CLASSES[name, getattr(group, "mode", None)]
         for _ in range(group.count):
             sim.register(make(aid, group, BatchedRng(agent_stream(config.seed, aid))))
@@ -71,24 +73,41 @@ def build_simulation(config: RunConfig) -> Simulation:
 def run_simulation(config: RunConfig, out_dir: str | Path) -> RunResult:
     """Execute the configured session and write all artifacts.
 
-    The session must end with quantity conserved and the book uncrossed
-    (NumericalError otherwise). Outputs land in a temporary directory that is
-    renamed onto out_dir on success, so a failed run leaves nothing behind.
+    The session streams its logs into a temporary directory. It must end with
+    quantity conserved and the book uncrossed (NumericalError otherwise);
+    then the summary and config are written and the directory is renamed
+    onto out_dir. A failure or interrupt removes it and any parent made for it.
     """
     out_dir = Path(out_dir)
     if out_dir.exists():
         raise ConfigError(f"output directory {out_dir} already exists")
-    sim = build_simulation(config)
-    stats = sim.run_until(config.session_ns)
-    _check_session_end(sim.book)
-
+    made = [parent for parent in out_dir.parents if not parent.exists()]
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp-", dir=out_dir.parent))
     try:
-        _write_artifacts(tmp, config, sim, stats)
+        with TradeWriter(tmp / TRADES_FILE) as trades, L1Writer(tmp / L1_FILE) as l1:
+            sim = build_simulation(config, trades, l1)
+            stats = sim.run_until(config.session_ns)
+            l1.write(sim.quotes)  # the rows the quote log still holds
+        _check_session_end(sim.book)
+        (tmp / CONFIG_FILE).write_text(dump_config(config))
+        book = sim.book
+        tradeio.write_summary(tmp / SUMMARY_FILE, {
+            "seed": config.seed,
+            "session_ns": config.session_ns,
+            "events_dispatched": stats.events_dispatched,
+            "trades": stats.n_trades,
+            "traded_qty": stats.traded_qty,
+            "submitted_qty": book.submitted_qty,
+            "cancelled_qty": book.cancelled_qty,
+            "discarded_qty": book.discarded_qty,
+            "resting_orders": len(book),
+            "final_best_bid": "" if book.best_bid is None else book.best_bid,
+            "final_best_ask": "" if book.best_ask is None else book.best_ask,
+        })
         tmp.rename(out_dir)
-    except Exception:
-        shutil.rmtree(tmp, ignore_errors=True)
+    except BaseException:
+        shutil.rmtree(made[-1] if made else tmp, ignore_errors=True)
         raise
     return RunResult(out_dir=out_dir, stats=stats)
 
@@ -101,26 +120,6 @@ def _check_session_end(book: OrderBook) -> None:
                              f"{book.submitted_qty}, accounted for {accounted}")
     if book.crossed:
         raise NumericalError(f"book crossed at session end: {book.best_bid} >= {book.best_ask}")
-
-
-def _write_artifacts(dest: Path, config: RunConfig, sim: Simulation, stats: RunStats) -> None:
-    tradeio.write_trades(dest / TRADES_FILE, sim.trades)
-    tradeio.write_l1(dest / L1_FILE, sim.quotes)
-    (dest / CONFIG_FILE).write_text(dump_config(config))
-    book = sim.book
-    tradeio.write_summary(dest / SUMMARY_FILE, {
-        "seed": config.seed,
-        "session_ns": config.session_ns,
-        "events_dispatched": stats.events_dispatched,
-        "trades": stats.n_trades,
-        "traded_qty": stats.traded_qty,
-        "submitted_qty": book.submitted_qty,
-        "cancelled_qty": book.cancelled_qty,
-        "discarded_qty": book.discarded_qty,
-        "resting_orders": len(book),
-        "final_best_bid": "" if book.best_bid is None else book.best_bid,
-        "final_best_ask": "" if book.best_ask is None else book.best_ask,
-    })
 
 
 def replay(run_dir: str | Path) -> str | None:
@@ -138,9 +137,9 @@ def replay(run_dir: str | Path) -> str | None:
         fresh = Path(scratch) / "rerun"
         run_simulation(config, fresh)
         for name in (TRADES_FILE, L1_FILE, SUMMARY_FILE):
-            new, old = (fresh / name).read_bytes(), (run_dir / name).read_bytes()
-            if new != old:
-                pairs = zip_longest(new.splitlines(keepends=True), old.splitlines(keepends=True))
-                line = next(i for i, (a, b) in enumerate(pairs, start=1) if a != b)
-                return f"{name}:{line}"
+            # line by line: a re-run's files hold no bare CR, so lines are those splitlines finds
+            with (fresh / name).open("rb") as new, (run_dir / name).open("rb") as old:
+                for line, (a, b) in enumerate(zip_longest(new, old), start=1):
+                    if a != b:
+                        return f"{name}:{line}"
     return None

@@ -5,8 +5,9 @@ integer tick prices, unit quantities, and B/S aggressor flags. Level-1 log:
 ``ts,best_bid,best_ask`` with empty fields for absent sides. Real exchange
 dumps use the same four trade columns, so both feed the same estimators.
 Both schemas have an in-memory form, the column logs ``TradeTape`` and
-``QuoteLog``: the simulator records into them, the writers write them and the
-readers fill them, so files and in-memory runs reach the estimators alike. A
+``QuoteLog``, which the readers fill, so files and in-memory runs reach the
+estimators alike. ``TradeWriter`` and ``L1Writer`` write the two row formats;
+a session that ``runner`` runs records into them as it goes. A
 run directory holds the two files under ``TRADES_FILE`` and ``L1_FILE``, next
 to ``SUMMARY_FILE`` and ``CONFIG_FILE``; ``load_run`` reads it back. A file
 is read by one ``np.loadtxt`` call when every row parses, and row by row
@@ -22,6 +23,7 @@ import csv
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -326,58 +328,71 @@ def load_run(run_dir: str | Path) -> tuple[TradeTape, QuoteLog]:
     return read_trades(run_dir / TRADES_FILE).records, read_l1(run_dir / L1_FILE)
 
 
-def _blank_if_zero(price: int) -> int | str:
-    return price or ""
+class _RowWriter:
+    """A CSV file open for writing, header first (a subclass's by default); a context manager."""
+
+    def __init__(self, path: str | Path, header: list[str] | None = None) -> None:
+        self._fh = Path(path).open("w", newline="")
+        self._writer = csv.writer(self._fh)
+        self._writer.writerow(header or self.header)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+
+class TradeWriter(_RowWriter):
+    """Records fills as a ``TradeTape`` does, into a trade CSV; keeps only the row count."""
+
+    header = TRADE_HEADER
+    rows = 0
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def extend(self, fills: Iterable[tuple[int, ...]]) -> None:
+        for ts, price, qty, sign, _, taker_agent in fills:
+            self._writer.writerow((ts, price, qty, _AGGRESSOR_FLAG[sign], taker_agent))
+            self.rows += 1
+
+
+class L1Writer(_RowWriter):
+    """An L1 CSV written a block of ``QuoteLog`` rows at a time."""
+
+    header = L1_HEADER
+
+    def write(self, quotes: QuoteLog, n: int | None = None) -> None:
+        """The first ``n`` rows of a quote log (all by default); 0 is an empty side."""
+        bid, ask = ((price or "" for price in side) for side in (quotes.bid, quotes.ask))
+        self._writer.writerows(islice(zip(quotes.ts, bid, ask), n))
 
 
 def write_trades(path: str | Path, trades: TradeTape) -> None:
-    """Write a trade CSV row by row from the columns of a ``TradeTape``."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRADE_HEADER)
-        writer.writerows(zip(trades.ts, trades.price, trades.qty,
-                             map(_AGGRESSOR_FLAG.__getitem__, trades.sign),
-                             trades.taker_agent))
+    """Write a trade CSV from the columns of a ``TradeTape``."""
+    with TradeWriter(path) as writer:
+        writer.extend(zip(*(getattr(trades, name) for name in TradeTape._columns)))
 
 
 def write_l1(path: str | Path, quotes: QuoteLog) -> None:
-    """Write an L1 CSV row by row from the columns of a ``QuoteLog``."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(L1_HEADER)
-        writer.writerows(zip(quotes.ts, map(_blank_if_zero, quotes.bid),
-                             map(_blank_if_zero, quotes.ask)))
+    """Write an L1 CSV from the columns of a ``QuoteLog``."""
+    with L1Writer(path) as writer:
+        writer.write(quotes)
 
 
 def write_summary(path: str | Path, fields: dict[str, object]) -> None:
     """Flat key=value run summary, one entry per line."""
-    with Path(path).open("w") as fh:
-        for key, value in fields.items():
-            fh.write(f"{key}={value}\n")
+    Path(path).write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
 
 
 def read_summary(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
     with Path(path).open() as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            out[key] = value
-    return out
+        return dict(line.rstrip("\n").partition("=")[::2] for line in fh if line != "\n")
 
 
 def write_table(path: str | Path, header: list[str], rows: Iterable[Iterable[object]]) -> None:
-    """Generic analysis CSV writer with deterministic float formatting."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(value: object) -> object:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return value
+    """Generic analysis CSV writer; floats are written to 12 significant digits."""
+    with _RowWriter(path, header) as table:
+        table._writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                                for row in rows)

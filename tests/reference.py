@@ -7,12 +7,14 @@ remainder discard, and discard of limit remainders that could only cross the
 submitting agent's own resting orders.
 
 Also holds the row type the tests compare fills as, readers that turn the
-simulator's column logs back into rows, ``BlockRng``, the array-block random
-facade that ``primesim.rng.BatchedRng`` must reproduce value for value,
-``darp_signs``, a per-sign DAR(p) loop that ``primesim.darp.generate_signs``
-and the darp market agent must reproduce sign for sign, and two estimators
-in their direct form: ``weighted_volume``, one dot product per window, which
-``primesim.impact.weighted_volume`` must match bit for bit, and
+simulator's column logs back into rows, ``most_rows_within``, which bounds
+the quote rows a simulation that spills its log keeps, ``BlockRng``, the
+array-block random facade that ``primesim.rng.BatchedRng`` must reproduce
+value for value, ``darp_signs``, a per-sign DAR(p) loop that
+``primesim.darp.generate_signs`` and the darp market agent must reproduce
+sign for sign, and two estimators in their direct form: ``weighted_volume``,
+one dot product per window, which ``primesim.impact.weighted_volume`` must
+match bit for bit, and
 ``decay_regression``, a dense solve over the whole design, which the blocked
 ``primesim.impact.decay_regression`` must match to rounding. ``bucket_chunks``
 merges colliding bucket cuts with ``np.unique``; ``primesim.impact`` must cut
@@ -52,6 +54,13 @@ def tape_rows(tape) -> list[Fill]:
 def quote_rows(log) -> list[tuple[int, int | None, int | None]]:
     """The ``(ts, bid, ask)`` rows of a ``QuoteLog``, None for an empty side."""
     return [(ts, bid or None, ask or None) for ts, bid, ask in zip(log.ts, log.bid, log.ask)]
+
+
+def most_rows_within(ts, horizon: int) -> int:
+    """The most rows of a sorted ``ts`` column that one window ``(t - horizon, t]`` holds."""
+    ts = np.asarray(ts)
+    return int((np.searchsorted(ts, ts, side="right")
+                - np.searchsorted(ts, ts - horizon, side="right")).max())
 
 
 class ReferenceBook:

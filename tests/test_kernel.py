@@ -4,11 +4,14 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from primesim import kernel
 from primesim.book import OrderBook, Side
 from primesim.kernel import Simulation, agent_stream, next_poisson_wakeup
 
-from reference import quote_rows, tape_rows
+from reference import most_rows_within, quote_rows, tape_rows
 
 
 class FixedGapAgent:
@@ -185,16 +188,27 @@ def brute_force_mid2x(rows, t):
     return mid
 
 
+class QuoteRows:
+    """Stands in for an ``L1Writer``: keeps the ``(ts, bid, ask)`` rows written to it."""
+
+    def __init__(self):
+        self.rows = []
+
+    def write(self, quotes, n=None):
+        self.rows += quote_rows(quotes)[:n]
+
+
 class TestQuoteLog:
-    def random_session(self, seed):
+    def random_session(self, seed, **options):
         """A session of random actions and the top-of-book changes seen in it.
 
         It starts empty at t=100 so early rows are one-sided and t < 100 has
         no quote; several actions share each timestamp. The changes are read
         off the book after every action, independently of the quote log.
+        ``options`` go to ``Simulation``.
         """
         rng = np.random.default_rng(seed)
-        sim = Simulation(OrderBook(), start=100)
+        sim = Simulation(OrderBook(), start=100, **options)
         live = []
         changes = [(100, None, None)]
         for step in range(3000):
@@ -223,6 +237,28 @@ class TestQuoteLog:
         probes = {-10**9, -1, 0, 99} | {t + d for t in times for d in (-1, 0, 1)}
         for t in sorted(probes):
             assert sim.mid2x_at(t) == brute_force_mid2x(rows, t), t
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(0, 1000),
+           block=st.integers(1, 64))
+    def test_mid2x_at_after_spills_matches_the_whole_log(self, seed, horizon, block):
+        written = QuoteRows()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "SPILL_ROWS", block)
+            sim, changes = self.random_session(seed, l1=written, horizon=horizon)
+        kept = quote_rows(sim.quotes)
+        assert written.rows and written.rows + kept == changes
+        times = [ts for ts, _, _ in changes]
+        assert len(kept) < max(block, 2 * (most_rows_within(times, horizon) + 1))
+        start, first = sim.now - horizon, sim.quotes.ts[0]
+        assert first <= max(start, 100)
+        probes = {-1, 0, 99, start - 1, start, sim.now} | {t + d for t in times for d in (-1, 0, 1)}
+        for t in sorted(probes):
+            if t >= start or t < 100:  # the session starts at 100
+                assert sim.mid2x_at(t) == brute_force_mid2x(changes, t), t
+            elif t < first:
+                with pytest.raises(ValueError):
+                    sim.mid2x_at(t)
 
     def test_one_sided_rows_carry_the_last_mid(self):
         book = OrderBook()

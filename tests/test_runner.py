@@ -7,12 +7,12 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from primesim import runner
+from primesim import kernel, runner
 from primesim.analysis import time_averaged_mid
 from primesim.book import OrderBook
-from primesim.cli import EXIT_NUMERICAL, cli
+from primesim.cli import EXIT_NUMERICAL, EXIT_USAGE, cli
 from primesim.config import load_preset, loads_config
-from primesim.errors import ConfigError, NumericalError
+from primesim.errors import ConfigError, DataError, NumericalError
 from primesim.kernel import Simulation
 from primesim.runner import build_simulation, replay, run_simulation
 from primesim.tradeio import (
@@ -20,11 +20,16 @@ from primesim.tradeio import (
     L1_FILE,
     SUMMARY_FILE,
     TRADES_FILE,
+    L1Writer,
+    TradeTape,
+    TradeWriter,
     load_run,
     read_summary,
+    write_l1,
+    write_trades,
 )
 
-from reference import quote_rows
+from reference import most_rows_within, quote_rows
 
 NS = 10**9
 
@@ -75,6 +80,12 @@ class TestRunSimulation:
         assert not (tmp_path / "bad_run").exists()
         assert not list(tmp_path.glob("bad_run.tmp-*"))
 
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path):
+        bad = loads_config(SMALL_SIM + "oracle: {kind: from_file, path: /nonexistent.csv}\n")
+        with pytest.raises(DataError):
+            run_simulation(bad, tmp_path / "new" / "dirs" / "run")
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         config = loads_config(SMALL_SIM)
         a = run_simulation(config, tmp_path / "a")
@@ -97,8 +108,8 @@ class TestRunSimulation:
     def test_unconserved_quantity_fails_without_output(self, tmp_path, monkeypatch):
         build = runner.build_simulation
 
-        def leaky_build(config):
-            sim = build(config)
+        def leaky_build(config, *writers):
+            sim = build(config, *writers)
             sim.book.cancelled_qty += 1  # one unit of quantity unaccounted for
             return sim
 
@@ -121,6 +132,21 @@ class TestRunSimulation:
         config.write_text(SMALL_SIM)
         assert cli(["simulate", str(config), "--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
         assert not (tmp_path / "run").exists()
+
+    def test_interrupt_leaves_no_output(self, tmp_path, monkeypatch):
+        run_until = Simulation.run_until
+
+        def interrupted(sim, end):
+            run_until(sim, end // 2)
+            assert len(sim.trades) > 0 and list(tmp_path.glob(f"run.tmp-*/{TRADES_FILE}"))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Simulation, "run_until", interrupted)
+        config = tmp_path / "config.yaml"
+        config.write_text(SMALL_SIM)
+        assert cli(["simulate", str(config), "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert not (tmp_path / "run").exists()
+        assert not list(tmp_path.glob("run.tmp-*"))
 
     def test_load_run_round_trip(self, tmp_path):
         config = loads_config(SMALL_SIM)
@@ -214,6 +240,47 @@ class TestEcologies:
         sim.run_until(config.session_ns)
         signs = sim.trades.column("sign")
         assert order_sign_acf(signs, max_lag=1)[0] > 0.1  # persistent flow reaches the tape
+
+
+STREAM_SESSION_NS = 180 * NS  # long enough for prime, with its 60 s lookback, to spill twice
+SMALL_SPILL_ROWS = 16
+
+
+class TestStreamedRuns:
+    @pytest.mark.parametrize("preset", ["prime", "santa-fe"])
+    def test_files_equal_an_in_memory_run(self, preset, tmp_path, monkeypatch):
+        config = replace(load_preset(preset), session_ns=STREAM_SESSION_NS)
+        whole = build_simulation(config)
+        whole.run_until(config.session_ns)
+        write_trades(tmp_path / TRADES_FILE, whole.trades)
+        write_l1(tmp_path / L1_FILE, whole.quotes)
+
+        monkeypatch.setattr(kernel, "SPILL_ROWS", SMALL_SPILL_ROWS)
+        built, blocks = [], []
+        build, write = runner.build_simulation, L1Writer.write
+
+        def keep_built(config, *writers):
+            built.append(build(config, *writers))
+            return built[-1]
+
+        def count_blocks(writer, quotes, n=None):
+            blocks.append(n)
+            write(writer, quotes, n)
+
+        monkeypatch.setattr(runner, "build_simulation", keep_built)
+        monkeypatch.setattr(L1Writer, "write", count_blocks)
+        result = run_simulation(config, tmp_path / "run")
+        for name in (TRADES_FILE, L1_FILE):
+            assert (result.out_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        assert len(blocks) > 2  # two spills or more, then the rest at session end
+
+        [sim] = built
+        assert isinstance(sim.trades, TradeWriter) and len(sim.trades) == len(whole.trades)
+        assert not any(hasattr(sim.trades, name) for name in TradeTape._columns)
+        kept = quote_rows(sim.quotes)
+        assert kept == quote_rows(whole.quotes)[-len(kept):]
+        inside = most_rows_within(whole.quotes.ts, sim.horizon)
+        assert len(kept) < max(SMALL_SPILL_ROWS, 2 * (inside + 1))
 
 
 SPLIT_SESSION_NS = 60 * NS
