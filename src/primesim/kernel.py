@@ -118,7 +118,11 @@ class Simulation:
             heapq.heappush(heap, (time + delay, seq, agent_id))
         self.events_dispatched += dispatched
         self.now = end
-        return RunStats(self.events_dispatched, len(self.trades), self.book.traded_qty)
+        return RunStats(
+            events_dispatched=self.events_dispatched,
+            n_trades=len(self.trades),
+            traded_qty=self.book.traded_qty,
+        )
 
     # -------------------------------------------------------------- actions
 

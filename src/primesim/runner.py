@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
@@ -76,15 +77,17 @@ def run_simulation(config: RunConfig, out_dir: str | Path) -> RunResult:
     The session streams its logs into a temporary directory. It must end with
     quantity conserved and the book uncrossed (NumericalError otherwise);
     then the summary and config are written and the directory is renamed
-    onto out_dir. A failure or interrupt removes it and any parent made for it.
+    onto out_dir. A failure or interrupt removes it, and then each parent
+    directory made for it that is left empty.
     """
     out_dir = Path(out_dir)
     if out_dir.exists():
         raise ConfigError(f"output directory {out_dir} already exists")
-    made = [parent for parent in out_dir.parents if not parent.exists()]
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp-", dir=out_dir.parent))
+    made = [parent for parent in out_dir.parents if not parent.exists()]  # nearest first
+    tmp = None
     try:
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp-", dir=out_dir.parent))
         with TradeWriter(tmp / TRADES_FILE) as trades, L1Writer(tmp / L1_FILE) as l1:
             sim = build_simulation(config, trades, l1)
             stats = sim.run_until(config.session_ns)
@@ -107,7 +110,11 @@ def run_simulation(config: RunConfig, out_dir: str | Path) -> RunResult:
         })
         tmp.rename(out_dir)
     except BaseException:
-        shutil.rmtree(made[-1] if made else tmp, ignore_errors=True)
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
+        for parent in made:  # another run may have written into one since
+            with suppress(OSError):
+                parent.rmdir()
         raise
     return RunResult(out_dir=out_dir, stats=stats)
 

@@ -328,13 +328,17 @@ def load_run(run_dir: str | Path) -> tuple[TradeTape, QuoteLog]:
     return read_trades(run_dir / TRADES_FILE).records, read_l1(run_dir / L1_FILE)
 
 
-class _RowWriter:
-    """A CSV file open for writing, header first (a subclass's by default); a context manager."""
+def _blank_if_zero(price: int) -> int | str:
+    return price or ""
 
-    def __init__(self, path: str | Path, header: list[str] | None = None) -> None:
+
+class _RowWriter:
+    """A CSV file open for writing, the subclass's header first; a context manager."""
+
+    def __init__(self, path: str | Path) -> None:
         self._fh = Path(path).open("w", newline="")
         self._writer = csv.writer(self._fh)
-        self._writer.writerow(header or self.header)
+        self._writer.writerow(self.header)
 
     def __enter__(self):
         return self
@@ -365,8 +369,8 @@ class L1Writer(_RowWriter):
 
     def write(self, quotes: QuoteLog, n: int | None = None) -> None:
         """The first ``n`` rows of a quote log (all by default); 0 is an empty side."""
-        bid, ask = ((price or "" for price in side) for side in (quotes.bid, quotes.ask))
-        self._writer.writerows(islice(zip(quotes.ts, bid, ask), n))
+        rows = zip(quotes.ts, map(_blank_if_zero, quotes.bid), map(_blank_if_zero, quotes.ask))
+        self._writer.writerows(islice(rows, n))
 
 
 def write_trades(path: str | Path, trades: TradeTape) -> None:
@@ -383,16 +387,33 @@ def write_l1(path: str | Path, quotes: QuoteLog) -> None:
 
 def write_summary(path: str | Path, fields: dict[str, object]) -> None:
     """Flat key=value run summary, one entry per line."""
-    Path(path).write_text("".join(f"{key}={value}\n" for key, value in fields.items()))
+    with Path(path).open("w") as fh:
+        for key, value in fields.items():
+            fh.write(f"{key}={value}\n")
 
 
 def read_summary(path: str | Path) -> dict[str, str]:
+    out: dict[str, str] = {}
     with Path(path).open() as fh:
-        return dict(line.rstrip("\n").partition("=")[::2] for line in fh if line != "\n")
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            key, _, value = line.partition("=")
+            out[key] = value
+    return out
 
 
 def write_table(path: str | Path, header: list[str], rows: Iterable[Iterable[object]]) -> None:
-    """Generic analysis CSV writer; floats are written to 12 significant digits."""
-    with _RowWriter(path, header) as table:
-        table._writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
-                                for row in rows)
+    """Generic analysis CSV writer with deterministic float formatting."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _fmt(value: object) -> object:
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return value

@@ -86,6 +86,33 @@ class TestRunSimulation:
             run_simulation(bad, tmp_path / "new" / "dirs" / "run")
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_run_keeps_what_others_wrote_under_the_directories_it_made(
+            self, tmp_path, monkeypatch):
+        run_until = Simulation.run_until
+        other = tmp_path / "new" / "b" / "trades.csv"
+
+        def failing(sim, end):
+            run_until(sim, end // 2)
+            other.parent.mkdir()  # a concurrent run finishes under the same new parent
+            other.write_text("kept\n")
+            raise NumericalError("failed partway")
+
+        monkeypatch.setattr(Simulation, "run_until", failing)
+        with pytest.raises(NumericalError):
+            run_simulation(loads_config(SMALL_SIM), tmp_path / "new" / "a" / "run")
+        assert other.read_text() == "kept\n"
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["b"]
+
+    def test_failure_to_make_the_temporary_directory_removes_the_parents_made(
+            self, tmp_path, monkeypatch):
+        def no_space(**kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(runner.tempfile, "mkdtemp", no_space)
+        with pytest.raises(OSError):
+            run_simulation(loads_config(SMALL_SIM), tmp_path / "new" / "dirs" / "run")
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         config = loads_config(SMALL_SIM)
         a = run_simulation(config, tmp_path / "a")
