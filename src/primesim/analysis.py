@@ -119,22 +119,3 @@ def write_acf(path: Path, acf: np.ndarray) -> None:
 def write_power_law(path: Path, fit: PowerLawFit) -> None:
     tradeio.write_table(path, ["c", "alpha", "r2", "n_lags"],
                         [(fit.c, fit.alpha, fit.r2, fit.n)])
-
-
-def time_averaged_mid(quotes: QuoteLog, t_from: int, t_to: int) -> float:
-    """Time-weighted average mid over [t_from, t_to], carrying quotes forward."""
-    if t_to <= t_from:
-        raise ValueError("empty averaging interval")
-    ts, mid2x = quotes.column("ts"), quotes.column("mid2x")
-    first = int(np.searchsorted(ts, t_from, side="right"))  # row first - 1 holds at t_from
-    stop = int(np.searchsorted(ts, t_to, side="left"))
-    if first == 0 or mid2x[first - 1] == 0:
-        raise ValueError("no mid defined over the full interval")
-    held = np.diff(np.concatenate([[t_from], ts[first:stop], [t_to]]))
-    return float(np.dot(mid2x[first - 1:stop] / 2.0, held)) / (t_to - t_from)
-
-
-def mid_series_at(quotes: QuoteLog, times: np.ndarray) -> np.ndarray:
-    """Mid (in ticks, possibly half-integral) carried forward to each time; NaN before quotes."""
-    mid2x = quotes.mid2x_at(times)
-    return np.where(mid2x > 0, mid2x / 2.0, np.nan)

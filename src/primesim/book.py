@@ -102,14 +102,6 @@ class OrderBook:
             return self._bid_prices[-1] + self._ask_prices[0]
         return None
 
-    def order(self, order_id: int) -> LimitOrder | None:
-        """The resting order with this id, or None if not resting."""
-        return self._by_id.get(order_id)
-
-    def depth(self, side: Side, price: int) -> int:
-        levels = self._bid_levels if side is Side.BID else self._ask_levels
-        return sum(o.qty for o in levels.get(price, ()))
-
     def resting_qty(self) -> int:
         return sum(o.qty for o in self._by_id.values())
 

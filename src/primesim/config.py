@@ -27,6 +27,10 @@ PRESET_NAMES = ("santa-fe", "prime")
 # wakeups/s a config past the cap would run for hours, so it is rejected.
 MAX_EXPECTED_WAKEUPS = 1e9
 
+# Ceiling of every price-like field, in ticks: a sum of two such prices or offsets
+# (bid + ask, center + offset, true price + noise) stays below 2**62, inside int64.
+MAX_TICK = 2**60
+
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ns|us|ms|s|m|h)\s*$")
 _UNIT_NS = {"ns": 1, "us": 10**3, "ms": 10**6, "s": 10**9, "m": 60 * 10**9, "h": 3600 * 10**9}
 
@@ -129,7 +133,7 @@ class _Section:
 
 @dataclass(frozen=True)
 class BookSeedConfig(_Section):
-    start_price: int = _field(minimum=2)
+    start_price: int = _field(minimum=2, maximum=MAX_TICK)
     half_width: int = _field(minimum=1)
     slope: int = _field(minimum=1)
 
@@ -142,14 +146,14 @@ class BookSeedConfig(_Section):
 @dataclass(frozen=True)
 class ConstantOracle(_Section):
     kind: ClassVar[str] = "constant"
-    price: int = _field(minimum=1)
+    price: int = _field(minimum=1, maximum=MAX_TICK)
 
 
 @dataclass(frozen=True)
 class RandomWalkOracle(_Section):
     kind: ClassVar[str] = "random_walk"
-    start: int = _field(minimum=1)
-    sigma: float = _field(minimum=0)
+    start: int = _field(minimum=1, maximum=MAX_TICK)
+    sigma: float = _field(minimum=0, maximum=MAX_TICK // 16)  # numpy's normal is within 14 sd
     step_ns: int = _field(minimum=1, duration=True)
 
 
@@ -169,8 +173,8 @@ class ZiLimitGroup(_Section):
     p_cancel: float = _field(0.5, minimum=0, maximum=1)
     mode: str = _field("santa_fe", choices=("santa_fe", "prime"))
     band_low: int = _field(1, minimum=1)      # santa_fe valuation band, inclusive
-    band_high: int = _field(100, minimum=2)   # and above band_low
-    half_width: int = _field(50, minimum=1)   # prime: valuation offsets +-W off the mid
+    band_high: int = _field(100, minimum=2, maximum=MAX_TICK)  # and above band_low
+    half_width: int = _field(50, minimum=1, maximum=MAX_TICK)  # prime: offsets +-W off the mid
     size: int = _field(1, minimum=1)
 
     def _check(self) -> None:
@@ -185,11 +189,18 @@ class ZiMarketGroup(_Section):
     wake_rate: float = _field(above=0)
     mode: str = _field("santa_fe", choices=("santa_fe", "darp", "prime"))
     size: int = _field(1, minimum=1)
-    noise: int = _field(5, minimum=0)         # prime: observation noise half-width
+    noise: int = _field(5, minimum=0, maximum=MAX_TICK)  # prime: observation noise half-width
     darp_p: float = _field(0.9, minimum=0, maximum=1)
     darp_gamma: float = _field(1.5)
     darp_n: int = _field(50, minimum=1)
     darp_literal_branch: bool = _field(False)
+
+    def _check(self) -> None:
+        # darp.lag_distribution sums darp_n weights l**((gamma-3)/2): at most darp_n
+        # for gamma <= 3, else at most darp_n**((gamma-1)/2), which must stay finite
+        if (self.darp_gamma - 1) / 2 * math.log10(self.darp_n) > 300:
+            raise ConfigError(f"darp_gamma {self.darp_gamma} is too large for darp_n "
+                              f"{self.darp_n}: the lag weights overflow")
 
 
 @dataclass(frozen=True)

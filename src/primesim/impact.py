@@ -58,7 +58,7 @@ class Samples:
     q: np.ndarray            # net volume over trailing weighted volume
     y: np.ndarray            # mid change over trailing volatility
     prev_sign: np.ndarray    # sign of the previous window's net volume
-    q_net: np.ndarray | None = None  # raw net volume of each window, when known
+    q_net: np.ndarray        # raw net volume of each window
 
     def __len__(self) -> int:
         return len(self.t)
@@ -263,19 +263,18 @@ def fit_delta(
     return DeltaFit(delta=delta, k=k, sse=sse, n=len(samples))
 
 
-def _bucket_chunks(q: np.ndarray, q_net: np.ndarray | None, n_buckets: int) -> list[np.ndarray]:
+def _bucket_chunks(q: np.ndarray, q_net: np.ndarray, n_buckets: int) -> list[np.ndarray]:
     """Sample indices of each bucket, ascending in q.
 
     Starts from the equal-count cuts of the q-sorted sample (stable order) and
     moves every cut that would separate two tied neighbours forward to the end
     of their run; cuts that collide merge, so fewer than n_buckets may result.
-    Neighbours tie when they carry the same raw net volume q_net, or, without
-    q_net, when their q are exactly equal.
+    Neighbours tie when they carry the same raw net volume q_net.
     """
     if n_buckets < 1:
         raise ValueError(f"need at least one bucket, got {n_buckets}")
     order = np.argsort(q, kind="stable")
-    tie_key = (q if q_net is None else q_net)[order]
+    tie_key = q_net[order]
     allowed = np.flatnonzero(tie_key[1:] != tie_key[:-1]) + 1  # positions a cut may fall before
     size, extra = divmod(len(q), n_buckets)
     cuts = np.arange(1, n_buckets) * size + np.minimum(np.arange(1, n_buckets), extra)
@@ -304,27 +303,26 @@ def _bucket_stats(
                        mean_y=np.asarray(my), count=np.asarray(cnt))
 
 
-def bucket_means(samples: Samples, n_buckets: int = 20, delta: float | None = None) -> BucketStats:
-    """Quantile-bucket samples by q and report per-bucket mean (q, y).
+def bucket_means(samples: Samples, delta: float, n_buckets: int = 20) -> BucketStats:
+    """Quantile-bucket samples by q and report per-bucket mean (sgn(q)|q|**delta, y).
 
     Returns at most n_buckets buckets. Cuts fall only between samples of
-    different raw net volume q_net (exactly equal q where q_net is unknown):
-    a cut that would split such a tie moves forward to the end of it, since
-    inside a tie the q order reflects only the normalizing volume. Counts
-    therefore differ by at most one only when no values tie. With delta
-    supplied the abscissa is sgn(q)|q|**delta (bucket membership is unchanged
-    because the transform is monotone).
+    different raw net volume q_net: a cut that would split such a tie moves
+    forward to the end of it, since inside a tie the q order reflects only the
+    normalizing volume. Counts therefore differ by at most one only when no
+    values tie. Bucket membership does not depend on delta, because the
+    transform is monotone; delta=1 reports q itself.
     """
     if len(samples) < n_buckets:
         raise ValueError(f"need >= {n_buckets} samples, got {len(samples)}")
     q = samples.q
-    key = q if delta is None else signed_power(q, delta)
-    return _bucket_stats(key, samples.y, _bucket_chunks(q, samples.q_net, n_buckets),
+    return _bucket_stats(signed_power(q, delta), samples.y,
+                         _bucket_chunks(q, samples.q_net, n_buckets),
                          np.ones(len(samples), dtype=bool))
 
 
 def split_by_previous_sign(
-    samples: Samples, n_buckets: int = 20, delta: float | None = None,
+    samples: Samples, delta: float, n_buckets: int = 20,
 ) -> tuple[BucketStats, BucketStats]:
     """Bucket means conditioned on the previous window's net-volume sign.
 
@@ -340,9 +338,8 @@ def split_by_previous_sign(
     if prev.size < n_buckets:
         raise ValueError(f"need >= {n_buckets} usable samples, got {prev.size}")
     q = samples.q[kept]
-    q_net = None if samples.q_net is None else samples.q_net[kept]
-    key = q if delta is None else signed_power(q, delta)
-    chunks = _bucket_chunks(q, q_net, n_buckets)
+    key = signed_power(q, delta)
+    chunks = _bucket_chunks(q, samples.q_net[kept], n_buckets)
     y = samples.y[kept]
     return (_bucket_stats(key, y, chunks, prev == 1),
             _bucket_stats(key, y, chunks, prev == -1))
@@ -421,16 +418,14 @@ def order_sign_acf(signs: np.ndarray, max_lag: int = MAX_LAG) -> np.ndarray:
                        for lag in range(1, max_lag + 1)])
 
 
-def fit_power_law(values: np.ndarray, lags: np.ndarray | None = None) -> PowerLawFit:
-    """Fit C * lag**(-alpha) to the positive entries of a lag-indexed series."""
+def fit_power_law(values: np.ndarray) -> PowerLawFit:
+    """Fit C * lag**(-alpha) to the positive entries of a series at lags 1, 2, ..."""
     v = np.asarray(values, dtype=float)
-    if lags is None:
-        lags = np.arange(1, v.size + 1)
     mask = v > 0
     if int(mask.sum()) < 5:
         raise NumericalError(
             f"need >= 5 positive values for a power-law fit, got {int(mask.sum())}")
-    lx = np.log(np.asarray(lags, dtype=float)[mask])
+    lx = np.log(np.arange(1.0, v.size + 1)[mask])
     ly = np.log(v[mask])
     lx_c = lx - lx.mean()
     slope = float(np.dot(lx_c, ly - ly.mean()) / np.dot(lx_c, lx_c))

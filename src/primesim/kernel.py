@@ -62,11 +62,11 @@ class Simulation:
     doubles, rows before the one in force at now - horizon go to it and are dropped.
     """
 
-    def __init__(self, book: OrderBook, series=None, start: int = 0, trades=None,
-                 l1: L1Writer | None = None, horizon: int = 0):
+    def __init__(self, book: OrderBook, series=None, trades=None, l1: L1Writer | None = None,
+                 horizon: int = 0):
         self.book = book
         self.series = series  # the oracle's PriceSeries, or None without an oracle
-        self.now = self._start = start
+        self.now = 0
         self._heap: list[tuple[int, int, int]] = []  # (time, seq, agent_id)
         self._next_seq = 0
         self._agents: dict[int, object] = {}
@@ -151,7 +151,7 @@ class Simulation:
 
         Exact for t >= now - horizon; ValueError if the quote rows for t were dropped.
         """
-        if t < self._start:
+        if t < 0:
             return None
         i = bisect_right(self.quotes.ts, t) - 1
         if i < 0:

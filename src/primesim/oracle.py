@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConstantOracle, FileOracle, RandomWalkOracle
+from .config import MAX_TICK, ConstantOracle, FileOracle, RandomWalkOracle
 from .errors import DataError
-from .tradeio import _rows, write_table
+from .tradeio import _rows
 
 SERIES_HEADER = ["time_ns", "price_ticks"]
 
@@ -65,7 +65,7 @@ def random_walk_series(
 ) -> PriceSeries:
     """Gaussian-increment walk on the tick grid, one step every step_ns.
 
-    Increments are rounded to integers and the path is clamped at 1 tick.
+    Increments are rounded to integers and the path is clamped to [1, MAX_TICK].
     """
     if start < 1 or sigma < 0 or step_ns < 1 or horizon_ns < 0:
         raise ValueError("bad random walk parameters")
@@ -75,7 +75,7 @@ def random_walk_series(
     prices[0] = start
     level = start
     for i, inc in enumerate(increments):
-        level = max(1, level + int(inc))
+        level = min(MAX_TICK, max(1, level + int(inc)))
         prices[i + 1] = level
     times = np.arange(n_steps + 1, dtype=np.int64) * step_ns
     return PriceSeries(times=times, prices=prices)
@@ -94,10 +94,6 @@ def series_from_file(path: str | Path) -> PriceSeries:
         return PriceSeries(times=times, prices=prices)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def write_series(series: PriceSeries, path: str | Path) -> None:
-    write_table(path, SERIES_HEADER, zip(series.times.tolist(), series.prices.tolist()))
 
 
 def make_series(spec: ConstantOracle | RandomWalkOracle | FileOracle, horizon_ns: int,

@@ -373,35 +373,11 @@ class L1Writer(_RowWriter):
         self._writer.writerows(islice(rows, n))
 
 
-def write_trades(path: str | Path, trades: TradeTape) -> None:
-    """Write a trade CSV from the columns of a ``TradeTape``."""
-    with TradeWriter(path) as writer:
-        writer.extend(zip(*(getattr(trades, name) for name in TradeTape._columns)))
-
-
-def write_l1(path: str | Path, quotes: QuoteLog) -> None:
-    """Write an L1 CSV from the columns of a ``QuoteLog``."""
-    with L1Writer(path) as writer:
-        writer.write(quotes)
-
-
 def write_summary(path: str | Path, fields: dict[str, object]) -> None:
     """Flat key=value run summary, one entry per line."""
     with Path(path).open("w") as fh:
         for key, value in fields.items():
             fh.write(f"{key}={value}\n")
-
-
-def read_summary(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            out[key] = value
-    return out
 
 
 def write_table(path: str | Path, header: list[str], rows: Iterable[Iterable[object]]) -> None:

@@ -18,7 +18,8 @@ match bit for bit, and
 ``decay_regression``, a dense solve over the whole design, which the blocked
 ``primesim.impact.decay_regression`` must match to rounding. ``bucket_chunks``
 merges colliding bucket cuts with ``np.unique``; ``primesim.impact`` must cut
-the same chunks.
+the same chunks. ``time_averaged_mid`` and ``mid_series_at`` read the mid off
+a quote log for the prime-mode acceptance criteria.
 """
 
 from __future__ import annotations
@@ -293,12 +294,31 @@ def decay_regression(samples, delta: float, max_lag: int) -> DecayKernel:
                        stderr=np.sqrt(sigma2 * np.diag(gram_inv)), n_rows=len(rows), cond=cond)
 
 
-def bucket_chunks(q: np.ndarray, q_net: np.ndarray | None, n_buckets: int) -> list[np.ndarray]:
+def bucket_chunks(q: np.ndarray, q_net: np.ndarray, n_buckets: int) -> list[np.ndarray]:
     """Sample indices of each bucket: equal-count cuts moved past ties, merged by np.unique."""
     order = np.argsort(q, kind="stable")
-    tie_key = (q if q_net is None else q_net)[order]
+    tie_key = q_net[order]
     allowed = np.flatnonzero(tie_key[1:] != tie_key[:-1]) + 1
     size, extra = divmod(len(q), n_buckets)
     cuts = np.arange(1, n_buckets) * size + np.minimum(np.arange(1, n_buckets), extra)
     moved = np.searchsorted(allowed, cuts)
     return np.split(order, np.unique(allowed[moved[moved < allowed.size]]))
+
+
+def time_averaged_mid(quotes, t_from: int, t_to: int) -> float:
+    """Time-weighted average mid over [t_from, t_to], carrying quotes forward."""
+    if t_to <= t_from:
+        raise ValueError("empty averaging interval")
+    ts, mid2x = quotes.column("ts"), quotes.column("mid2x")
+    first = int(np.searchsorted(ts, t_from, side="right"))  # row first - 1 holds at t_from
+    stop = int(np.searchsorted(ts, t_to, side="left"))
+    if first == 0 or mid2x[first - 1] == 0:
+        raise ValueError("no mid defined over the full interval")
+    held = np.diff(np.concatenate([[t_from], ts[first:stop], [t_to]]))
+    return float(np.dot(mid2x[first - 1:stop] / 2.0, held)) / (t_to - t_from)
+
+
+def mid_series_at(quotes, times: np.ndarray) -> np.ndarray:
+    """Mid (in ticks, possibly half-integral) carried forward to each time; NaN before quotes."""
+    mid2x = quotes.mid2x_at(times)
+    return np.where(mid2x > 0, mid2x / 2.0, np.nan)

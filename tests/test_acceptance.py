@@ -31,9 +31,8 @@ from primesim.impact import (
 )
 from primesim.oracle import true_price_at
 from primesim.runner import build_simulation, run_simulation
-from primesim.analysis import mid_series_at, time_averaged_mid
 
-from reference import ReferenceBook
+from reference import ReferenceBook, mid_series_at, time_averaged_mid
 
 NS = 10**9
 
@@ -119,10 +118,10 @@ class TestCriterion02DeltaRecovery:
         q = rng.uniform(-2.0, 2.0, size=n)
         clean = signed_power(q, 0.59)
         t, prev = np.arange(n), np.zeros(n, dtype=int)
-        noiseless = Samples(t=t, q=q, y=clean, prev_sign=prev)
+        noiseless = Samples(t=t, q=q, y=clean, prev_sign=prev, q_net=q)
         fit_clean = fit_delta(noiseless)
         noisy_y = clean + rng.normal(0.0, 0.1 * clean.std(), size=n)
-        noisy = Samples(t=t, q=q, y=noisy_y, prev_sign=prev)
+        noisy = Samples(t=t, q=q, y=noisy_y, prev_sign=prev, q_net=q)
         fit_noisy = fit_delta(noisy)
         elapsed = time.perf_counter() - t0
         ok = (abs(fit_clean.delta - 0.59) < 0.01
@@ -147,7 +146,7 @@ class TestCriterion03KernelRecovery:
         for lag, coef in enumerate(true_kernel):
             if coef != 0.0:
                 y[lag:] += coef * x[: n - lag]
-        samples = Samples(t=np.arange(n), q=q, y=y, prev_sign=np.zeros(n, dtype=int))
+        samples = Samples(t=np.arange(n), q=q, y=y, prev_sign=np.zeros(n, dtype=int), q_net=q)
         kernel = decay_regression(samples, delta=0.59, max_lag=100)
         err = np.max(np.abs(kernel.beta - true_kernel))
         elapsed = time.perf_counter() - t0
@@ -160,7 +159,7 @@ class TestCriterion03KernelRecovery:
 class TestCriterion04SantaFeConcavity:
     def test_concavity_and_delta_range(self, santa_fe_session):
         fit = santa_fe_session["fit"]
-        buckets = bucket_means(santa_fe_session["samples"], n_buckets=20)
+        buckets = bucket_means(santa_fe_session["samples"], 1.0, n_buckets=20)
         violations = int(np.sum(np.diff(buckets.mean_y) < 0))
         monotone_ok = violations <= 1
         delta_ok = 0.3 < fit.delta < 0.95
@@ -179,7 +178,7 @@ class TestCriterion05ReversionDirection:
 
         samples = santa_fe_session["samples"]
         fit = santa_fe_session["fit"]
-        prev_buy, prev_sell = split_by_previous_sign(samples, n_buckets=20, delta=fit.delta)
+        prev_buy, prev_sell = split_by_previous_sign(samples, fit.delta, n_buckets=20)
         usable = [i for i in range(len(prev_buy.count))
                   if np.isfinite(prev_buy.mean_y[i]) and np.isfinite(prev_sell.mean_y[i])]
         below = float(np.mean([prev_buy.mean_y[i] < prev_sell.mean_y[i] for i in usable]))

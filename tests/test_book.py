@@ -15,6 +15,22 @@ def lo(oid, agent, side, price, qty, ts=0):
     return LimitOrder(id=oid, agent=agent, side=side, price=price, qty=qty, ts=ts)
 
 
+def resting(book, oid):
+    """The resting order with this id, read off ``book.dump()``, or None."""
+    for side, name in ((Side.BID, "bids"), (Side.ASK, "asks")):
+        for price, level in book.dump()[name]:
+            for order_id, agent, qty, ts in level:
+                if order_id == oid:
+                    return lo(oid, agent, side, price, qty, ts)
+    return None
+
+
+def depth(book, side, price):
+    """Resting quantity at one price, read off ``book.dump()``."""
+    levels = dict(book.dump()["bids" if side is Side.BID else "asks"])
+    return sum(qty for _, _, qty, _ in levels.get(price, ()))
+
+
 class TestSubmitLimit:
     def test_rests_on_empty_book(self):
         book = OrderBook()
@@ -31,7 +47,7 @@ class TestSubmitLimit:
         # one tuple per fill: (ts, price, qty, sign, maker_order, taker_agent)
         assert trades == [(0, 101, 3, 1, 1, 1), (0, 102, 2, 1, 2, 1)]
         assert book.best_ask == 102
-        assert book.depth(Side.ASK, 102) == 2
+        assert depth(book, Side.ASK, 102) == 2
         assert book.best_bid is None  # fully filled, nothing rested
 
     def test_remainder_rests_at_limit_price(self):
@@ -40,7 +56,7 @@ class TestSubmitLimit:
         trades = book.submit_limit(lo(2, 1, Side.BID, 101, 5))
         assert trades == [(0, 101, 3, 1, 1, 1)]
         assert book.best_bid == 101
-        assert book.depth(Side.BID, 101) == 2
+        assert depth(book, Side.BID, 101) == 2
 
     def test_duplicate_id_rejected(self):
         book = OrderBook()
@@ -69,7 +85,7 @@ class TestSubmitLimit:
         book.submit_limit(lo(2, 6, Side.ASK, 101, 2))
         trades = book.submit_limit(lo(3, 5, Side.BID, 101, 2))
         assert trades == [(0, 101, 2, 1, 2, 5)]
-        assert book.order(1).qty == 2  # untouched
+        assert resting(book, 1).qty == 2  # untouched
 
     def test_self_cross_remainder_discarded(self):
         # only the agent's own ask is in the way; the remainder cannot rest
@@ -97,7 +113,7 @@ class TestOrderIds:
         book.submit_limit(lo(5, 0, Side.BID, 100, 1))
         with pytest.raises(ValueError, match="duplicate"):
             book.submit_limit(lo(4, 0, Side.BID, 99, 1))
-        assert book.order(4) is None and book.best_bid == 100
+        assert resting(book, 4) is None and book.best_bid == 100
 
     def test_id_of_retired_order_stays_rejected(self):
         book = OrderBook()
@@ -111,7 +127,7 @@ class TestOrderIds:
         with pytest.raises(ValueError):
             book.submit_limit(lo(2, 0, Side.BID, 100, 0))
         book.submit_limit(lo(2, 0, Side.BID, 100, 1))
-        assert book.order(2) is not None
+        assert resting(book, 2) is not None
 
     def test_issued_ids_count_up_from_one(self):
         book = OrderBook()
@@ -168,7 +184,7 @@ class TestSubmitMarket:
         result = book.submit_market(1, Side.BID, 2, ts=7)
         assert result.trades == [(7, 101, 2, 1, 1, 1)]
         assert book.best_ask == 101
-        assert book.depth(Side.ASK, 101) == 1
+        assert depth(book, Side.ASK, 101) == 1
         assert result.remainder == 0
 
     def test_remainder_discarded(self):
@@ -259,8 +275,8 @@ class TestSeedLinear:
         half_width, slope = 50, 2
         book.seed_linear(1000, half_width, slope)
         per_side = slope * half_width * (half_width + 1) // 2
-        bid_qty = sum(book.depth(Side.BID, p) for p, _ in book.dump()["bids"])
-        ask_qty = sum(book.depth(Side.ASK, p) for p, _ in book.dump()["asks"])
+        bid_qty = sum(depth(book, Side.BID, p) for p, _ in book.dump()["bids"])
+        ask_qty = sum(depth(book, Side.ASK, p) for p, _ in book.dump()["asks"])
         assert bid_qty == per_side
         assert ask_qty == per_side
 

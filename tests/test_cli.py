@@ -18,6 +18,26 @@ agents:
   zi_market: {count: 15, wake_rate: 0.4, mode: santa_fe, size: 2}
 """
 
+PRIME_CONFIG = """
+seed: 1
+session: 5s
+book: {start_price: 1000, half_width: 50, slope: 2}
+oracle: {kind: constant, price: 1000}
+agents:
+  zi_limit: {count: 20, wake_rate: 2.0, mode: prime, half_width: 50}
+  zi_market: {count: 5, wake_rate: 2.0, mode: prime, noise: 5}
+"""
+
+# (key, text in PRIME_CONFIG, replacement): values that overflowed int64 or float
+# arithmetic in a session before the schema bounded them
+OUT_OF_RANGE = [
+    ("start_price", "start_price: 1000", f"start_price: {2**62}"),
+    ("half_width", "prime, half_width: 50", f"prime, half_width: {2**62}"),
+    ("price", "constant, price: 1000", f"constant, price: {2**63 + 1}"),
+    ("sigma", "constant, price: 1000", "random_walk, start: 1000, sigma: 1.0e+30, step: 1s"),
+    ("darp_gamma", "prime, noise: 5", "darp, darp_gamma: 800"),
+]
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -105,6 +125,15 @@ class TestSimulate:
         out = tmp_path / "x"
         assert cli(["simulate", str(bad), "--out", str(out)]) == EXIT_DATA
         assert f"{series}:3: malformed series row" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,old,new", OUT_OF_RANGE, ids=[key for key, _, _ in OUT_OF_RANGE])
+    def test_values_past_int64_or_float_range_exit_code(self, tmp_path, capsys, key, old, new):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(PRIME_CONFIG.replace(old, new))
+        out = tmp_path / "x"
+        assert cli(["simulate", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_preset_with_overrides(self, tmp_path):

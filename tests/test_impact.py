@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primesim import impact
-from primesim.analysis import impact_report, mid_series_at, time_averaged_mid
+from primesim.analysis import impact_report
 from primesim.config import load_preset
 from primesim.errors import NumericalError
 from primesim.impact import (
@@ -33,6 +33,7 @@ from primesim.runner import build_simulation
 from primesim.tradeio import QuoteLog, TradeTape
 
 import reference
+from reference import mid_series_at, time_averaged_mid
 
 NS = 10**9
 W5 = 5 * NS
@@ -49,13 +50,13 @@ def make_windows(dp_half_ticks, gross=None, q_net=None):
 
 
 def make_samples(q, y, prev_sign=None, q_net=None, t=None):
-    """Samples at consecutive window indices unless t is given."""
+    """Samples at consecutive window indices unless t is given; q_net is q unless given."""
     n = len(q)
     return Samples(t=np.arange(n) if t is None else np.asarray(t),
                    q=np.asarray(q, dtype=float), y=np.asarray(y, dtype=float),
                    prev_sign=np.zeros(n, dtype=np.int64) if prev_sign is None
                    else np.asarray(prev_sign),
-                   q_net=None if q_net is None else np.asarray(q_net))
+                   q_net=np.asarray(q if q_net is None else q_net))
 
 
 def make_tape(rows):
@@ -489,10 +490,10 @@ def assert_no_value_split(samples, stats):
         assert inside.sum() == 1, f"q_net={value} spans buckets"
 
 
-def equal_count_buckets(samples, n_buckets, delta=None):
+def equal_count_buckets(samples, n_buckets, delta):
     """The equal-count bucketing that tie-free samples must still reproduce."""
     q, y = samples.q, samples.y
-    key = q if delta is None else signed_power(q, delta)
+    key = signed_power(q, delta)
     chunks = np.array_split(np.argsort(q, kind="stable"), n_buckets)
     return (np.asarray([key[c[0]] for c in chunks]), np.asarray([key[c[-1]] for c in chunks]),
             np.asarray([np.mean(key[c]) for c in chunks]),
@@ -526,6 +527,7 @@ class TestBucketChunks:
     @example((np.asarray([0.3]), np.asarray([1]), 3))           # one sample, more buckets
     def test_chunks_match_the_unique_merge(self, inputs):
         q, q_net, n_buckets = inputs
+        q_net = q if q_net is None else q_net  # without net volumes, equal q tie
         got = impact._bucket_chunks(q, q_net, n_buckets)
         want = reference.bucket_chunks(q, q_net, n_buckets)
         assert len(got) == len(want)
@@ -538,7 +540,7 @@ class TestBucketMeans:
         rng = np.random.default_rng(8)
         q = rng.uniform(-1, 1, size=5000)
         samples = make_samples(q, q)
-        stats = bucket_means(samples, n_buckets=20)
+        stats = bucket_means(samples, 1.0, n_buckets=20)
         slope, intercept = np.polyfit(stats.mean_q, stats.mean_y, 1)
         resid = stats.mean_y - (slope * stats.mean_q + intercept)
         ss_tot = np.sum((stats.mean_y - stats.mean_y.mean()) ** 2)
@@ -548,13 +550,13 @@ class TestBucketMeans:
         rng = np.random.default_rng(9)
         q = rng.uniform(-2, 2, size=20_000)
         samples = make_samples(q, signed_power(q, 0.5))
-        raw = bucket_means(samples, n_buckets=20)
+        raw = bucket_means(samples, 1.0, n_buckets=20)
         # concave for q > 0: second differences of mean_y vs mean_q negative
         pos = raw.mean_q > 0
         y_pos = raw.mean_y[pos]
         d2 = np.diff(y_pos, 2)
         assert np.all(d2 < 0)
-        transformed = bucket_means(samples, n_buckets=20, delta=0.5)
+        transformed = bucket_means(samples, 0.5, n_buckets=20)
         slope, intercept = np.polyfit(transformed.mean_q, transformed.mean_y, 1)
         resid = transformed.mean_y - (slope * transformed.mean_q + intercept)
         assert np.max(np.abs(resid)) < 1e-2
@@ -562,7 +564,7 @@ class TestBucketMeans:
     def test_counts_differ_by_at_most_one(self):
         rng = np.random.default_rng(10)
         samples = synthetic_samples(rng, 1013, delta=0.5)
-        stats = bucket_means(samples, n_buckets=20)
+        stats = bucket_means(samples, 1.0, n_buckets=20)
         assert stats.count.sum() == 1013
         assert stats.count.max() - stats.count.min() <= 1
 
@@ -574,18 +576,18 @@ class TestBucketMeans:
         fit = fit_delta(samples)
 
         def bucket_r2(delta):
-            stats = bucket_means(samples, n_buckets=20, delta=delta)
+            stats = bucket_means(samples, delta, n_buckets=20)
             slope, intercept = np.polyfit(stats.mean_q, stats.mean_y, 1)
             resid = stats.mean_y - (slope * stats.mean_q + intercept)
             ss_tot = np.sum((stats.mean_y - stats.mean_y.mean()) ** 2)
             return 1.0 - np.sum(resid**2) / ss_tot
 
-        assert bucket_r2(fit.delta) > bucket_r2(None)
+        assert bucket_r2(fit.delta) > bucket_r2(1.0)
 
     def test_lattice_net_volume_never_split(self):
         rng = np.random.default_rng(23)
         samples = lattice_samples(rng, 7000)
-        stats = bucket_means(samples, n_buckets=20)
+        stats = bucket_means(samples, 1.0, n_buckets=20)
         assert stats.count.sum() == 7000
         # nine lattice values cannot fill twenty buckets
         assert len(stats.count) <= 9
@@ -596,11 +598,11 @@ class TestBucketMeans:
         rng = np.random.default_rng(24)
         q = np.round(rng.uniform(-1, 1, size=2000), 1)
         samples = make_samples(q, q)
-        stats = bucket_means(samples, n_buckets=20)
+        stats = bucket_means(samples, 1.0, n_buckets=20)
         assert stats.count.sum() == 2000
         assert np.all(stats.hi[:-1] < stats.lo[1:])
 
-    @pytest.mark.parametrize("delta", [None, 0.6])
+    @pytest.mark.parametrize("delta", [1.0, 0.6])
     @pytest.mark.parametrize("with_net_volume", [False, True])
     def test_tie_free_samples_bucketed_as_equal_count(self, delta, with_net_volume):
         rng = np.random.default_rng(25)
@@ -609,7 +611,7 @@ class TestBucketMeans:
         q = q_net / rng.uniform(9.0, 11.0, size=n)
         samples = make_samples(q, rng.normal(size=n),
                                q_net=q_net if with_net_volume else None)
-        stats = bucket_means(samples, n_buckets=20, delta=delta)
+        stats = bucket_means(samples, delta, n_buckets=20)
         want = equal_count_buckets(samples, 20, delta)
         got = (stats.lo, stats.hi, stats.mean_q, stats.mean_y, stats.count)
         for g, w in zip(got, want):
@@ -618,7 +620,7 @@ class TestBucketMeans:
     def test_requires_a_bucket(self):
         rng = np.random.default_rng(26)
         with pytest.raises(ValueError, match="bucket"):
-            bucket_means(synthetic_samples(rng, 100, delta=0.5), n_buckets=0)
+            bucket_means(synthetic_samples(rng, 100, delta=0.5), 1.0, n_buckets=0)
 
 
 class TestSplitByPreviousSign:
@@ -631,7 +633,7 @@ class TestSplitByPreviousSign:
     def test_independent_data_groups_agree(self):
         rng = np.random.default_rng(11)
         samples = self.make(rng, 40_000)
-        buy, sell = split_by_previous_sign(samples)
+        buy, sell = split_by_previous_sign(samples, 1.0)
         for b in range(len(buy.count)):
             n_b, n_s = buy.count[b], sell.count[b]
             pooled_se = 0.1 * math.sqrt(1.0 / n_b + 1.0 / n_s)
@@ -640,7 +642,7 @@ class TestSplitByPreviousSign:
     def test_constructed_offset_recovered(self):
         rng = np.random.default_rng(12)
         samples = self.make(rng, 40_000, offset=-0.1)
-        buy, sell = split_by_previous_sign(samples)
+        buy, sell = split_by_previous_sign(samples, 1.0)
         gaps = sell.mean_y - buy.mean_y
         assert np.nanmean(gaps) == pytest.approx(0.2, abs=0.02)
         assert np.mean(gaps > 0) > 0.9
@@ -652,25 +654,25 @@ class TestSplitByPreviousSign:
                                np.append(base.y, np.full(50, 0.1)),
                                np.append(base.prev_sign, np.zeros(50, dtype=int)),
                                t=np.append(base.t, 10**6 + np.arange(50)))
-        buy, sell = split_by_previous_sign(samples)
+        buy, sell = split_by_previous_sign(samples, 1.0)
         assert buy.count.sum() + sell.count.sum() == 5000
 
     def test_single_sided_history_rejected(self):
         samples = make_samples(0.1 * np.arange(100), np.full(100, 0.1), np.ones(100, dtype=int))
         with pytest.raises(ValueError, match="both"):
-            split_by_previous_sign(samples)
+            split_by_previous_sign(samples, 1.0)
 
     def test_shared_edges(self):
         rng = np.random.default_rng(14)
         samples = self.make(rng, 10_000)
-        buy, sell = split_by_previous_sign(samples)
+        buy, sell = split_by_previous_sign(samples, 1.0)
         assert np.array_equal(buy.lo, sell.lo)
         assert np.array_equal(buy.hi, sell.hi)
 
     def test_lattice_edges_shared_and_never_split(self):
         rng = np.random.default_rng(27)
         samples = lattice_samples(rng, 7000, prev_sign=True)
-        buy, sell = split_by_previous_sign(samples, n_buckets=20)
+        buy, sell = split_by_previous_sign(samples, 1.0, n_buckets=20)
         assert buy.count.sum() + sell.count.sum() == 7000
         assert np.array_equal(buy.lo, sell.lo)
         assert np.array_equal(buy.hi, sell.hi)

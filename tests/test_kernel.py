@@ -202,15 +202,15 @@ class TestQuoteLog:
     def random_session(self, seed, **options):
         """A session of random actions and the top-of-book changes seen in it.
 
-        It starts empty at t=100 so early rows are one-sided and t < 100 has
-        no quote; several actions share each timestamp. The changes are read
-        off the book after every action, independently of the quote log.
-        ``options`` go to ``Simulation``.
+        It starts empty at t=0 and first acts at t=100, so early rows are
+        one-sided and t < 0 has no quote; several actions share each timestamp.
+        The changes are read off the book after every action, independently of
+        the quote log. ``options`` go to ``Simulation``.
         """
         rng = np.random.default_rng(seed)
-        sim = Simulation(OrderBook(), start=100, **options)
+        sim = Simulation(OrderBook(), **options)
         live = []
-        changes = [(100, None, None)]
+        changes = [(0, None, None)]
         for step in range(3000):
             sim.now = 100 + 7 * (step // 4)
             roll = rng.random()
@@ -231,7 +231,7 @@ class TestQuoteLog:
         sim, _ = self.random_session(seed)
         rows = quote_rows(sim.quotes)
         times = [ts for ts, _, _ in rows]
-        assert rows[0] == (100, None, None)
+        assert rows[0] == (0, None, None)
         assert any((bid is None) != (ask is None) for _, bid, ask in rows)  # one-sided
         assert len(set(times)) < len(times)  # several updates at one ns
         probes = {-10**9, -1, 0, 99} | {t + d for t in times for d in (-1, 0, 1)}
@@ -251,10 +251,10 @@ class TestQuoteLog:
         times = [ts for ts, _, _ in changes]
         assert len(kept) < max(block, 2 * (most_rows_within(times, horizon) + 1))
         start, first = sim.now - horizon, sim.quotes.ts[0]
-        assert first <= max(start, 100)
+        assert first <= max(start, 0)
         probes = {-1, 0, 99, start - 1, start, sim.now} | {t + d for t in times for d in (-1, 0, 1)}
         for t in sorted(probes):
-            if t >= start or t < 100:  # the session starts at 100
+            if t >= start or t < 0:  # the session starts at 0
                 assert sim.mid2x_at(t) == brute_force_mid2x(changes, t), t
             elif t < first:
                 with pytest.raises(ValueError):

@@ -6,14 +6,15 @@ import pytest
 from primesim.config import ConstantOracle, RandomWalkOracle
 from primesim.errors import DataError
 from primesim.oracle import (
+    SERIES_HEADER,
     PriceSeries,
     constant_series,
     make_series,
     observe,
     series_from_file,
     true_price_at,
-    write_series,
 )
+from primesim.tradeio import write_table
 
 
 def linear_scan_price(series, t):
@@ -113,7 +114,7 @@ class TestSeriesFile:
         series = make_series(RandomWalkOracle(start=500, sigma=3.0, step_ns=10**9),
                              100 * 10**9, np.random.default_rng(5))
         path = tmp_path / "series.csv"
-        write_series(series, path)
+        write_table(path, SERIES_HEADER, zip(series.times.tolist(), series.prices.tolist()))
         loaded = series_from_file(path)
         assert np.array_equal(loaded.times, series.times)
         assert np.array_equal(loaded.prices, series.prices)

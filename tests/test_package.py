@@ -151,3 +151,35 @@ def test_simulating_loads_every_simulator_module(tmp_path):
     argv = [*SIMULATE, "--out", str(tmp_path / "run")]
     code = f"from primesim.cli import cli\nassert cli({argv!r}) == 0"
     assert loaded_after(code, SIMULATOR_MODULES) == SIMULATOR_MODULES
+
+
+# Definitions no package code names, each with why it is kept.
+UNREFERENCED = {"cli._Parser.error": "argparse calls it on a bad command line"}
+
+
+def definitions(node, prefix: str):
+    """(name, dotted module path) of each function, method and class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child.name, f"{prefix}.{child.name}"
+            yield from definitions(child, f"{prefix}.{child.name}")
+        else:
+            yield from definitions(child, prefix)
+
+
+def test_every_definition_is_used_by_the_package():
+    # code that only tests call belongs in tests/: a name counts as used where the
+    # package reads it as a name, an attribute or an import; dunders are Python's
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(primesim.__file__).parent.glob("*.py")}
+    used = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    unused = {path for module, tree in trees.items() for name, path in definitions(tree, module)
+              if name not in used and not name.startswith("__")}
+    assert unused == set(UNREFERENCED)

@@ -8,7 +8,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from primesim import kernel, runner
-from primesim.analysis import time_averaged_mid
 from primesim.book import OrderBook
 from primesim.cli import EXIT_NUMERICAL, EXIT_USAGE, cli
 from primesim.config import load_preset, loads_config
@@ -24,12 +23,9 @@ from primesim.tradeio import (
     TradeTape,
     TradeWriter,
     load_run,
-    read_summary,
-    write_l1,
-    write_trades,
 )
 
-from reference import most_rows_within, quote_rows
+from reference import most_rows_within, quote_rows, tape_rows, time_averaged_mid
 
 NS = 10**9
 
@@ -59,7 +55,8 @@ class TestRunSimulation:
         result = run_simulation(config, tmp_path / "run")
         for name in (TRADES_FILE, L1_FILE, SUMMARY_FILE, CONFIG_FILE):
             assert (result.out_dir / name).exists()
-        summary = read_summary(result.out_dir / SUMMARY_FILE)
+        lines = (result.out_dir / SUMMARY_FILE).read_text().splitlines()
+        summary = dict(line.split("=", 1) for line in lines)
         assert summary["seed"] == "7"
         assert int(summary["trades"]) == result.stats.n_trades
         assert result.stats.n_trades > 0
@@ -279,8 +276,9 @@ class TestStreamedRuns:
         config = replace(load_preset(preset), session_ns=STREAM_SESSION_NS)
         whole = build_simulation(config)
         whole.run_until(config.session_ns)
-        write_trades(tmp_path / TRADES_FILE, whole.trades)
-        write_l1(tmp_path / L1_FILE, whole.quotes)
+        with TradeWriter(tmp_path / TRADES_FILE) as trades, L1Writer(tmp_path / L1_FILE) as l1:
+            trades.extend(tape_rows(whole.trades))
+            l1.write(whole.quotes)
 
         monkeypatch.setattr(kernel, "SPILL_ROWS", SMALL_SPILL_ROWS)
         built, blocks = [], []

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from primesim import tradeio
 from primesim.errors import DataError
 from primesim.tradeio import (
+    L1Writer,
     QuoteLog,
     TradeTape,
+    TradeWriter,
     read_l1,
     read_trades,
-    read_summary,
-    write_l1,
     write_summary,
-    write_trades,
 )
 
 from reference import quote_rows, tape_rows
@@ -106,7 +105,8 @@ class TestReadTrades:
     def test_simulator_tape_round_trip(self, tmp_path):
         trades = TradeTape([(5, 100, 2, 1, 1, 3), (9, 99, 1, -1, 2, 4)])
         path = tmp_path / "tape.csv"
-        write_trades(path, trades)
+        with TradeWriter(path) as writer:
+            writer.extend(tape_rows(trades))
         dump = read_trades(path)
         tape = dump.records
         assert list(zip(tape.ts, tape.price, tape.qty, tape.sign)) == \
@@ -119,7 +119,8 @@ class TestReadTrades:
     def test_tape_columns_written_as_rows(self, tmp_path):
         # fill rows in column order: ts, price, qty, sign, maker_order, taker_agent
         tape = TradeTape([(5, 100, 2, 1, 1, 3), (9, 99, 1, -1, 2, 4)])
-        write_trades(tmp_path / "tape.csv", tape)
+        with TradeWriter(tmp_path / "tape.csv") as writer:
+            writer.extend(tape_rows(tape))
         assert (tmp_path / "tape.csv").read_text().splitlines() == [
             "ts,price,qty,aggressor,taker_agent", "5,100,2,B,3", "9,99,1,S,4"]
 
@@ -128,7 +129,8 @@ class TestL1File:
     def test_round_trip_with_absent_sides(self, tmp_path):
         rows = [(0, 99, 101), (5, None, 101), (9, 98, None), (12, 97, 100)]
         path = tmp_path / "l1.csv"
-        write_l1(path, QuoteLog(rows))
+        with L1Writer(path) as writer:
+            writer.write(QuoteLog(rows))
         quotes = read_l1(path)
         assert isinstance(quotes, QuoteLog)
         assert quote_rows(quotes) == [(0, 99, 101), (5, None, 101), (9, 98, None), (12, 97, 100)]
@@ -138,7 +140,8 @@ class TestL1File:
         rows = [(0, None, None), (0, 99, None), (5, 99, 101), (9, None, 101), (12, 97, 100)]
         log = QuoteLog(rows)
         assert list(log.mid2x) == [0, 0, 200, 200, 197]
-        write_l1(tmp_path / "l1.csv", log)
+        with L1Writer(tmp_path / "l1.csv") as writer:
+            writer.write(log)
         assert quote_rows(read_l1(tmp_path / "l1.csv")) == rows
 
     def test_bad_header(self, tmp_path):
@@ -370,5 +373,5 @@ class TestSummary:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "summary.txt"
         write_summary(path, {"seed": 3, "trades": 17, "final_best_bid": ""})
-        loaded = read_summary(path)
+        loaded = dict(line.split("=", 1) for line in path.read_text().splitlines())
         assert loaded == {"seed": "3", "trades": "17", "final_best_bid": ""}
