@@ -7,7 +7,9 @@ integer units, so book arithmetic is exact. The mid-price is carried as
 
 from __future__ import annotations
 
+import math
 from bisect import insort
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -16,19 +18,14 @@ SEEDER_AGENT = -1
 
 
 class Side(Enum):
-    """Order direction; the value is the aggressor tag used in trade logs."""
+    """Order direction; the value is its sign, +1 buying and -1 selling interest."""
 
-    BID = "B"
-    ASK = "S"
+    BID = 1
+    ASK = -1
 
     @property
     def opposite(self) -> "Side":
         return Side.ASK if self is Side.BID else Side.BID
-
-    @property
-    def sign(self) -> int:
-        """+1 for buying interest, -1 for selling interest."""
-        return 1 if self is Side.BID else -1
 
 
 @dataclass(eq=False, slots=True)
@@ -49,6 +46,12 @@ class MarketResult:
     remainder: int
 
 
+# One side of the book: FIFO levels by price, and their keys sign * price in ascending
+# order, so the best level comes first. Bids have sign -1 and asks +1, which is also
+# the trade sign of a taker that takes the side.
+_BookSide = namedtuple("_BookSide", "levels keys sign")
+
+
 class OrderBook:
     """FIFO price levels on both sides, matched in price-time priority.
 
@@ -65,10 +68,8 @@ class OrderBook:
     """
 
     def __init__(self) -> None:
-        self._bid_levels: dict[int, list[LimitOrder]] = {}
-        self._ask_levels: dict[int, list[LimitOrder]] = {}
-        self._bid_prices: list[int] = []  # ascending; best bid is the last entry
-        self._ask_prices: list[int] = []  # ascending; best ask is the first entry
+        self._bids = _BookSide({}, [], -1)  # keys -price: the highest bid first
+        self._asks = _BookSide({}, [], 1)   # keys +price: the lowest ask first
         self._by_id: dict[int, LimitOrder] = {}
         self._last_id = 0  # highest accepted order id; the next must exceed it
         self._next_id = 1
@@ -82,25 +83,24 @@ class OrderBook:
 
     @property
     def best_bid(self) -> int | None:
-        prices = self._bid_prices
-        return prices[-1] if prices else None
+        keys = self._bids.keys
+        return -keys[0] if keys else None
 
     @property
     def best_ask(self) -> int | None:
-        prices = self._ask_prices
-        return prices[0] if prices else None
+        keys = self._asks.keys
+        return keys[0] if keys else None
 
     @property
     def crossed(self) -> bool:
-        return (bool(self._bid_prices) and bool(self._ask_prices)
-                and self._bid_prices[-1] >= self._ask_prices[0])
+        bids, asks = self._bids.keys, self._asks.keys
+        return bool(bids and asks) and asks[0] + bids[0] <= 0
 
     @property
     def mid2x(self) -> int | None:
         """best_bid + best_ask (twice the mid), or None while either side is empty."""
-        if self._bid_prices and self._ask_prices:
-            return self._bid_prices[-1] + self._ask_prices[0]
-        return None
+        bids, asks = self._bids.keys, self._asks.keys
+        return asks[0] - bids[0] if bids and asks else None
 
     def resting_qty(self) -> int:
         return sum(o.qty for o in self._by_id.values())
@@ -110,15 +110,9 @@ class OrderBook:
 
     def dump(self) -> dict[str, list[tuple[int, list[tuple[int, int, int, int]]]]]:
         """Value copy of the whole book, best price first: (id, agent, qty, ts) per order."""
-        out: dict[str, list[tuple[int, list[tuple[int, int, int, int]]]]] = {}
-        for name, levels, ordered in (
-            ("bids", self._bid_levels, reversed(self._bid_prices)),
-            ("asks", self._ask_levels, iter(self._ask_prices)),
-        ):
-            out[name] = [
-                (p, [(o.id, o.agent, o.qty, o.ts) for o in levels[p]]) for p in ordered
-            ]
-        return out
+        return {name: [(sign * key, [(o.id, o.agent, o.qty, o.ts) for o in levels[sign * key]])
+                       for key in keys]
+                for name, (levels, keys, sign) in (("bids", self._bids), ("asks", self._asks))}
 
     def new_order_id(self) -> int:
         """Allocate a session-unique order id above every id issued or accepted."""
@@ -170,15 +164,12 @@ class OrderBook:
         order = self._by_id.pop(order_id, None)
         if order is None:
             return None
-        if order.side is Side.BID:
-            levels, prices = self._bid_levels, self._bid_prices
-        else:
-            levels, prices = self._ask_levels, self._ask_prices
+        levels, keys, sign = self._bids if order.side is Side.BID else self._asks
         queue = levels[order.price]
         queue.remove(order)
         if not queue:
             del levels[order.price]
-            prices.remove(order.price)
+            keys.remove(sign * order.price)
         self.cancelled_qty += order.qty
         return order
 
@@ -204,22 +195,18 @@ class OrderBook:
     # --------------------------------------------------------------- internals
 
     def _rest(self, order: LimitOrder) -> None:
-        if order.side is Side.BID:
-            levels, prices = self._bid_levels, self._bid_prices
-        else:
-            levels, prices = self._ask_levels, self._ask_prices
+        levels, keys, sign = self._bids if order.side is Side.BID else self._asks
         level = levels.get(order.price)
         if level is None:
             levels[order.price] = [order]
-            insort(prices, order.price)
+            insort(keys, sign * order.price)
         else:
             level.append(order)
         self._by_id[order.id] = order
 
     def _would_cross_own(self, side: Side, price: int) -> bool:
-        if side is Side.BID:
-            return bool(self._ask_prices) and self._ask_prices[0] <= price
-        return bool(self._bid_prices) and self._bid_prices[-1] >= price
+        _, keys, sign = self._asks if side is Side.BID else self._bids
+        return bool(keys) and keys[0] <= sign * price
 
     def _match(
         self, taker_agent: int, side: Side, qty: int, limit_price: int | None, ts: int,
@@ -229,24 +216,14 @@ class OrderBook:
         Each fill is one trade-tape row, ``(ts, price, qty, sign, maker_order,
         taker_agent)``, where ``sign`` is the aggressor's (+1 buy, -1 sell).
         """
-        buying = side is Side.BID
-        sign = side.sign
-        if buying:
-            levels, prices = self._ask_levels, self._ask_prices
-        else:
-            levels, prices = self._bid_levels, self._bid_prices
+        levels, keys, sign = self._asks if side is Side.BID else self._bids
+        bound = math.inf if limit_price is None else sign * limit_price  # the worst key to take
         by_id = self._by_id
         trades: list[tuple[int, ...]] = []
         remaining = qty
-        pi = 0 if buying else len(prices) - 1
-        while remaining > 0 and 0 <= pi < len(prices):
-            price = prices[pi]
-            if limit_price is not None:
-                if buying:
-                    if price > limit_price:
-                        break
-                elif price < limit_price:
-                    break
+        ki = 0
+        while remaining > 0 and ki < len(keys) and keys[ki] <= bound:
+            price = sign * keys[ki]
             queue = levels[price]
             i = 0
             while i < len(queue) and remaining > 0:
@@ -262,12 +239,9 @@ class OrderBook:
                 if maker.qty == 0:
                     del queue[i]
                     del by_id[maker.id]
-            if not queue:
-                del levels[price]
-                del prices[pi]
-                if not buying:
-                    pi -= 1
+            if queue:
+                ki += 1  # leftovers here are the taker's own orders; step past the level
             else:
-                # leftovers here are the taker's own orders; step past the level
-                pi += 1 if buying else -1
+                del levels[price]
+                del keys[ki]
         return trades, remaining

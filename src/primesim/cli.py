@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, calibrate, impact, tradeio
-from .config import PRESET_NAMES, load_config, load_preset, parse_duration
+from .config import load_config, load_preset, parse_duration
 from .errors import ConfigError, DataError, NumericalError, UsageError
 from .impact import PowerLawFit
 
@@ -66,7 +66,7 @@ def simulate(config_src: str, out: str | None, seed: int | None, session: str | 
     """Run a session from a config file or a preset name (santa-fe, prime)."""
     from . import runner  # only the commands that run a session load the simulator
 
-    config = _load_config_source(config_src)
+    config = load_config(config_src) if Path(config_src).exists() else load_preset(config_src)
     if seed is not None or session is not None:
         from dataclasses import replace
 
@@ -81,27 +81,27 @@ def simulate(config_src: str, out: str | None, seed: int | None, session: str | 
     print(f"events={result.stats.events_dispatched} trades={result.stats.n_trades}")
 
 
-def _load_config_source(src: str):
-    if Path(src).exists():
-        return load_config(src)
-    normalized = src.replace("_", "-").lower()
-    if normalized in PRESET_NAMES:
-        return load_preset(normalized)
-    raise ConfigError(f"{src!r} is neither a config file nor a preset {PRESET_NAMES}")
+def _read_inputs(inputs: list[str], quotes: bool = True):
+    """The trade tape, and the quote log if ``quotes``, of a run directory or TRADES_CSV L1_CSV.
 
-
-def _load_inputs(inputs: list[str]):
-    if len(inputs) == 1:
-        return tradeio.load_run(inputs[0])
-    if len(inputs) == 2:
-        dump = tradeio.read_trades(inputs[0])
-        return dump.records, tradeio.read_l1(inputs[1])
-    raise UsageError("pass a run directory or TRADES_CSV L1_CSV")
+    A lone input that is not a directory is a trade file when no quotes are needed.
+    A nonzero count of skipped malformed trade rows is reported on stderr.
+    """
+    if len(inputs) > 2:
+        raise UsageError("pass a run directory or TRADES_CSV L1_CSV (acf: TRADES_CSV alone)")
+    trades = Path(inputs[0])
+    l1 = Path(inputs[1]) if len(inputs) == 2 else None
+    if l1 is None and (quotes or trades.is_dir()):
+        trades, l1 = trades / tradeio.TRADES_FILE, trades / tradeio.L1_FILE
+    dump = tradeio.read_trades(trades)
+    if dump.n_malformed:
+        print(f"skipped {dump.n_malformed} malformed trade rows in {trades}", file=sys.stderr)
+    return dump.records, tradeio.read_l1(l1) if quotes else None
 
 
 def analyze_impact(inputs, delta, buckets, window, horizon, min_periods, out) -> None:
     """Initial-impact analysis: windows, samples, exponent fit, bucket means."""
-    trades, quotes = _load_inputs(inputs)
+    trades, quotes = _read_inputs(inputs)
     report = analysis.impact_report(
         trades, quotes, window_ns=window, horizon_ns=horizon,
         delta=delta, n_buckets=buckets, min_periods=min_periods,
@@ -119,7 +119,7 @@ def analyze_impact(inputs, delta, buckets, window, horizon, min_periods, out) ->
 
 def analyze_decay(inputs, delta, max_lag, window, horizon, min_periods, out) -> None:
     """Transient-impact kernel: lagged no-intercept OLS of y on adjusted size."""
-    trades, quotes = _load_inputs(inputs)
+    trades, quotes = _read_inputs(inputs)
     _, samples, skipped = analysis.prepare_samples(
         trades, quotes, window_ns=window, horizon_ns=horizon, min_periods=min_periods)
     if delta is None:
@@ -133,12 +133,7 @@ def analyze_decay(inputs, delta, max_lag, window, horizon, min_periods, out) -> 
 
 def analyze_acf(inputs, max_lag, out) -> None:
     """Order-sign autocorrelation of the trade tape and its power-law fit."""
-    if len(inputs) > 2:
-        raise UsageError("pass a run directory or TRADES_CSV [L1_CSV]")
-    path = Path(inputs[0])
-    if len(inputs) == 1 and path.is_dir():
-        path /= tradeio.TRADES_FILE
-    trades = tradeio.read_trades(path).records
+    trades, _ = _read_inputs(inputs, quotes=False)
     acf = impact.order_sign_acf(trades.column("sign"), max_lag=max_lag)
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_acf(out / "acf.csv", acf)

@@ -27,6 +27,15 @@ PRESET_NAMES = ("santa-fe", "prime")
 # wakeups/s a config past the cap would run for hours, so it is rejected.
 MAX_EXPECTED_WAKEUPS = 1e9
 
+# Cap on a random walk's steps, session // step, all drawn at once: each step holds
+# ~35 bytes of arrays while the walk is built, so the cap costs ~350 MB. 1 ms steps
+# over a 1 h session are 3.6e6.
+MAX_WALK_STEPS = 10**7
+
+# Cap on book.half_width, a loop count: seeding rests 2 * half_width orders before
+# the session starts, 2e5 of them in ~0.7 s at a ~92 MB peak. The presets use 50 and 200.
+MAX_SEED_WIDTH = 10**5
+
 # Ceiling of every price-like field, in ticks: a sum of two such prices or offsets
 # (bid + ask, center + offset, true price + noise) stays below 2**62, inside int64.
 MAX_TICK = 2**60
@@ -134,7 +143,7 @@ class _Section:
 @dataclass(frozen=True)
 class BookSeedConfig(_Section):
     start_price: int = _field(minimum=2, maximum=MAX_TICK)
-    half_width: int = _field(minimum=1)
+    half_width: int = _field(minimum=1, maximum=MAX_SEED_WIDTH)
     slope: int = _field(minimum=1)
 
     def _check(self) -> None:
@@ -246,6 +255,11 @@ class RunConfig(_Section):
             raise ConfigError(f"{wakeups:.3g} expected agent wakeups exceed the cap of "
                               f"{MAX_EXPECTED_WAKEUPS:.0e}; lower a count, wake_rate or "
                               f"the session")
+        walk = self.oracle
+        steps = self.session_ns // walk.step_ns if isinstance(walk, RandomWalkOracle) else 0
+        if steps > MAX_WALK_STEPS:
+            raise ConfigError(f"{steps} random walk steps exceed the cap of "
+                              f"{MAX_WALK_STEPS:.0e}; lengthen step or shorten the session")
 
 
 # ---------------------------------------------------------------- parse / serialize
@@ -339,12 +353,16 @@ def dump_config(config: RunConfig) -> str:
 
 
 def load_preset(name: str) -> RunConfig:
-    """Shipped baseline configurations: santa-fe and prime."""
+    """Shipped baseline configurations: santa-fe and prime.
+
+    ``simulate`` reads a source that is no existing path as a preset name, so the
+    error names both kinds of source.
+    """
     from importlib import resources
 
     normalized = name.replace("_", "-").lower()
     if normalized not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+        raise ConfigError(f"{name!r} is neither a config file nor a preset {PRESET_NAMES}")
     filename = normalized.replace("-", "_") + ".yaml"
     text = resources.files("primesim.presets").joinpath(filename).read_text()
     return loads_config(text)

@@ -9,7 +9,7 @@ Both schemas have an in-memory form, the column logs ``TradeTape`` and
 estimators alike. ``TradeWriter`` and ``L1Writer`` write the two row formats;
 a session that ``runner`` runs records into them as it goes. A
 run directory holds the two files under ``TRADES_FILE`` and ``L1_FILE``, next
-to ``SUMMARY_FILE`` and ``CONFIG_FILE``; ``load_run`` reads it back. A file
+to ``SUMMARY_FILE`` and ``CONFIG_FILE``. A file
 is read by one ``np.loadtxt`` call when every row parses, and row by row
 otherwise; the row parser is the one definition of what a row means, and
 both give the same columns. Every input CSV read row by row, the oracle's
@@ -320,12 +320,6 @@ def read_l1(path: str | Path) -> QuoteLog:
     path = Path(path)
     block = _l1_block(path)
     return QuoteLog.from_sides(*(_parse_l1_rows(path) if block is None else block.T))
-
-
-def load_run(run_dir: str | Path) -> tuple[TradeTape, QuoteLog]:
-    """The trade tape and quote log of a run directory (or equivalent layout)."""
-    run_dir = Path(run_dir)
-    return read_trades(run_dir / TRADES_FILE).records, read_l1(run_dir / L1_FILE)
 
 
 def _blank_if_zero(price: int) -> int | str:

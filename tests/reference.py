@@ -112,7 +112,7 @@ class ReferenceBook:
             maker["qty"] -= take
             remaining -= take
             self.traded_qty += take
-            trades.append(Fill(ts=ts, price=maker["price"], qty=take, sign=side.sign,
+            trades.append(Fill(ts=ts, price=maker["price"], qty=take, sign=side.value,
                                maker_order=maker["id"], taker_agent=taker_agent))
             if maker["qty"] == 0:
                 self.resting.remove(maker)

@@ -198,7 +198,7 @@ class _SignRecorder:
         self.sides = []
 
     def place_market(self, agent_id, side, qty):
-        self.sides.append(side.sign)
+        self.sides.append(side.value)
 
 
 class TestCriterion06OrderSignStructure:

@@ -168,7 +168,7 @@ class TestZiMarket:
         n = 100_000
         for _ in range(n):
             agent.wakeup(sim)
-        signs = np.asarray([side.sign for side, _ in sim.placed_markets])
+        signs = np.asarray([side.value for side, _ in sim.placed_markets])
         acf = order_sign_acf(signs, max_lag=50)
         inside = np.abs(acf) < 3.0 / np.sqrt(n)
         assert inside.mean() >= 0.95
@@ -248,7 +248,7 @@ class TestDarp:
         assert agent.params == params
         for _ in range(3 * BLOCK):
             agent.wakeup(sim)
-        signs = [side.sign for side, _ in sim.placed_markets]
+        signs = [side.value for side, _ in sim.placed_markets]
         first = generate_signs(params, BLOCK, np.random.default_rng(seed))
         assert signs[:BLOCK] == first.tolist()
         assert signs == darp_signs(params, 3, BLOCK, np.random.default_rng(seed))

@@ -169,10 +169,14 @@ class TestBoundedState:
                 assert book.cancel(oid) is not None
             else:
                 assert book.submit_market(1, side.opposite, 2).remainder == 0
-        containers = {name: value for name, value in vars(book).items()
+        owned = dict(vars(book))
+        for name in ("_bids", "_asks"):  # each side is a named tuple of containers
+            owned.update({f"{name}.{part}": value
+                          for part, value in owned.pop(name)._asdict().items()})
+        containers = {name: value for name, value in owned.items()
                       if isinstance(value, (list, dict, set))}
-        assert set(containers) >= {"_bid_levels", "_ask_levels", "_bid_prices",
-                                   "_ask_prices", "_by_id"}
+        assert set(containers) >= {"_bids.levels", "_asks.levels", "_bids.keys",
+                                   "_asks.keys", "_by_id"}
         assert {name: len(value) for name, value in containers.items() if value} == {}
         assert book.new_order_id() == 10_001
 
@@ -378,6 +382,42 @@ class TestInvariants:
         book.submit_limit(lo(1, 0, Side.ASK, 105, 2))
         trades = book.submit_limit(lo(2, 1, Side.BID, 110, 2))
         assert [Fill(*t).price for t in trades] == [105]
+
+
+def mirror_ops(ops, ceiling):
+    """The same stream with each price p moved to ceiling - p and each side swapped."""
+    mirrored = []
+    for op in ops:
+        if op[0] == "limit":
+            kind, oid, agent, side, price, qty = op
+            mirrored.append((kind, oid, agent, side.opposite, ceiling - price, qty))
+        elif op[0] == "market":
+            kind, agent, side, qty = op
+            mirrored.append((kind, agent, side.opposite, qty))
+        else:
+            mirrored.append(op)
+    return mirrored
+
+
+class TestMirrorSymmetry:
+    """Bids and asks follow one rule, so a stream mirrored in price has a mirrored outcome."""
+
+    CEILING = 201  # maps random_ops' prices 91..110 onto themselves
+
+    @pytest.mark.parametrize("seed, n_agents", [(1, 5), (2, 2), (3, 3)])
+    def test_mirrored_stream_mirrors_tape_book_and_counters(self, seed, n_agents):
+        ops = random_ops(np.random.default_rng(seed), 2000, n_agents=n_agents)
+        book, _, tape, _ = apply_ops(ops)
+        mirror, _, mirror_tape, _ = apply_ops(mirror_ops(ops, self.CEILING))
+        assert tape and book.discarded_qty > 0 and book.cancelled_qty > 0
+        assert mirror_tape == [(ts, self.CEILING - price, qty, -sign, maker, taker)
+                               for ts, price, qty, sign, maker, taker in tape]
+        dump, mirror_dump = book.dump(), mirror.dump()
+        assert dump["bids"] and dump["asks"]
+        for side, other in (("bids", "asks"), ("asks", "bids")):
+            assert mirror_dump[side] == [(self.CEILING - p, level) for p, level in dump[other]]
+        for counter in ("submitted_qty", "traded_qty", "cancelled_qty", "discarded_qty"):
+            assert getattr(mirror, counter) == getattr(book, counter), counter
 
 
 AGENTS = st.integers(0, 3)

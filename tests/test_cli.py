@@ -3,6 +3,7 @@
 import shutil
 import time
 
+import numpy as np
 import pytest
 
 from primesim import runner
@@ -50,9 +51,11 @@ def run_dir(tmp_path_factory):
 
 
 class TestSimulate:
-    def test_missing_config_fails_cleanly(self, tmp_path):
+    def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "never"
         assert cli(["simulate", str(tmp_path / "absent.yaml"), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "is neither a config file nor a preset ('santa-fe', 'prime')" in err
         assert not out.exists()
 
     def test_invalid_config_exit_code(self, tmp_path):
@@ -244,6 +247,46 @@ class TestAnalyze:
             outs.append(out)
         for name in ("windows.csv", "samples.csv", "buckets.csv", "delta_fit.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def small_dump(root):
+    """A 200 s trade file with one malformed row in 200, the same file without it, an L1 file."""
+    rng = np.random.default_rng(3)
+    prices, qtys, sides = rng.integers(98, 103, 199), rng.integers(1, 4, 199), rng.integers(0, 2, 199)
+    rows = [f"{t * 10**9},{prices[t]},{qtys[t]},{'BS'[sides[t]]}\n" for t in range(199)]
+    header = "ts,price,qty,aggressor\n"
+    clean, dirty, l1 = root / "clean.csv", root / "dirty.csv", root / "l1.csv"
+    clean.write_text(header + "".join(rows))
+    dirty.write_text(header + "".join(rows[:100] + ["not-a-time,100,1,B\n"] + rows[100:]))
+    mids = 100 + np.cumsum(rng.integers(-1, 2, size=200))
+    l1.write_text("ts,best_bid,best_ask\n" + "".join(
+        f"{t * 10**9 + 5 * 10**8},{mid - 1},{mid + 1}\n" for t, mid in enumerate(mids)))
+    return clean, dirty, l1
+
+
+class TestSkippedRows:
+    @pytest.mark.parametrize("command,options", [
+        ("impact", ["--window", "1s", "--horizon", "20s"]),
+        ("decay", ["--window", "1s", "--horizon", "20s", "--max-lag", "3"]),
+        ("acf", ["--max-lag", "10"]),
+    ])
+    def test_malformed_trade_rows_reported_on_stderr_only(self, tmp_path, capsys,
+                                                          command, options):
+        clean, dirty, l1 = small_dump(tmp_path)
+        outputs = []
+        for name, trades in (("clean", clean), ("dirty", dirty)):
+            out = tmp_path / name
+            assert cli(["analyze", command, str(trades), str(l1), *options,
+                        "--out", str(out)]) == EXIT_OK
+            outputs.append((capsys.readouterr(), out))
+        (clean_run, clean_out), (dirty_run, dirty_out) = outputs
+        assert clean_run.err == ""
+        assert dirty_run.err == f"skipped 1 malformed trade rows in {dirty}\n"
+        assert dirty_run.out == clean_run.out
+        names = sorted(p.name for p in clean_out.iterdir())
+        assert names == sorted(p.name for p in dirty_out.iterdir())
+        for name in names:
+            assert (dirty_out / name).read_bytes() == (clean_out / name).read_bytes()
 
 
 class TestTuneDar:

@@ -10,6 +10,8 @@ from primesim.config import (
     _TYPES,
     GROUPS,
     MAX_EXPECTED_WAKEUPS,
+    MAX_SEED_WIDTH,
+    MAX_WALK_STEPS,
     ConstantOracle,
     TechnicalGroup,
     ZiLimitGroup,
@@ -248,6 +250,49 @@ class TestExpectedWakeupCap:
         assert config.session_ns == 3600 * 10**9
         with pytest.raises(ConfigError, match="exceed the cap"):
             replace(config, session_ns=10**6 * config.session_ns)
+
+
+WALK = """
+seed: 1
+session: 1h
+oracle: {kind: random_walk, start: 1000, sigma: 1.0, step: 1ms}
+agents:
+  zi_limit: {count: 1, wake_rate: 1.0}
+"""
+
+
+class TestSizeCaps:
+    """Counts that a config turns into loops or arrays are capped before anything is built."""
+
+    def test_huge_seed_width_refused(self):
+        # start_price - half_width is tick 1, so only the cap stands between
+        # this config and ~2.3e18 seeded orders
+        huge = MINIMAL.replace("start_price: 100", f"start_price: {2**60}").replace(
+            "half_width: 10", f"half_width: {2**60 - 1}")
+        with pytest.raises(ConfigError, match=r"book: half_width must be an integer in \[1, "):
+            loads_config(huge)
+
+    def test_seed_width_cap_is_inclusive(self):
+        at_cap = loads_config(MINIMAL.replace("start_price: 100", f"start_price: {2**60}")
+                              .replace("half_width: 10", f"half_width: {MAX_SEED_WIDTH}"))
+        assert at_cap.book.half_width == MAX_SEED_WIDTH
+        with pytest.raises(ConfigError, match="half_width"):
+            replace(at_cap.book, half_width=MAX_SEED_WIDTH + 1)
+
+    def test_microsecond_walk_over_an_hour_refused(self):
+        # 3.6e9 normals, ~29 GB, would be drawn at once
+        with pytest.raises(ConfigError, match="3600000000 random walk steps exceed the cap"):
+            loads_config(WALK.replace("step: 1ms", "step: 1us"))
+
+    def test_millisecond_walk_over_an_hour_loads(self):
+        config = loads_config(WALK)
+        assert config.session_ns // config.oracle.step_ns == 3_600_000
+
+    def test_walk_cap_is_inclusive(self):
+        at_cap = replace(loads_config(WALK), session_ns=MAX_WALK_STEPS * 10**6)
+        assert at_cap.session_ns // at_cap.oracle.step_ns == MAX_WALK_STEPS
+        with pytest.raises(ConfigError, match="random walk steps exceed the cap"):
+            replace(at_cap, session_ns=at_cap.session_ns + 10**6)
 
 
 class TestRoundTrip:

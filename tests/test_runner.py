@@ -22,7 +22,8 @@ from primesim.tradeio import (
     L1Writer,
     TradeTape,
     TradeWriter,
-    load_run,
+    read_l1,
+    read_trades,
 )
 
 from reference import most_rows_within, quote_rows, tape_rows, time_averaged_mid
@@ -172,17 +173,18 @@ class TestRunSimulation:
         assert not (tmp_path / "run").exists()
         assert not list(tmp_path.glob("run.tmp-*"))
 
-    def test_load_run_round_trip(self, tmp_path):
+    def test_run_files_read_back(self, tmp_path):
         config = loads_config(SMALL_SIM)
         result = run_simulation(config, tmp_path / "run")
-        trades, quotes = load_run(result.out_dir)
+        trades = read_trades(result.out_dir / TRADES_FILE).records
+        quotes = read_l1(result.out_dir / L1_FILE)
         assert len(trades) == result.stats.n_trades
         assert quotes.ts[0] == 0
 
     def test_book_never_crossed_and_uncrossed_quotes(self, tmp_path):
         config = loads_config(SMALL_SIM)
         result = run_simulation(config, tmp_path / "run")
-        _, quotes = load_run(result.out_dir)
+        quotes = read_l1(result.out_dir / L1_FILE)
         for _, bid, ask in quote_rows(quotes):
             if bid is not None and ask is not None:
                 assert bid < ask
