@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .book import Side
+from .book import ASK, BID
 from .config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
 from .darp import DarpParams, generate_signs
 from .kernel import next_poisson_wakeup
@@ -65,7 +65,7 @@ class ZiLimitAgent(Agent):
         if mid2x is None:
             return  # side branch is undecidable on a one-sided book
         v = self._valuation(mid2x)
-        side = Side.BID if 2 * v < mid2x else Side.ASK
+        side = BID if 2 * v < mid2x else ASK
         oid = sim.place_limit(self.agent_id, side, v, self.group.size)
         self._live.append(oid)
 
@@ -100,7 +100,7 @@ class ZiMarketAgent(Agent):
     __slots__ = ()
 
     def wakeup(self, sim) -> None:
-        side = Side.BID if self.rng.random() <= 0.5 else Side.ASK
+        side = BID if self.rng.random() <= 0.5 else ASK
         sim.place_market(self.agent_id, side, self.group.size)
 
 
@@ -126,8 +126,7 @@ class DarpMarketAgent(Agent):
             # darp_n may exceed BLOCK, so the history is cut from both
             self.history = np.concatenate((self.history, block))[-self.params.n:]
             self._pending = block[::-1].tolist()
-        side = Side.BID if self._pending.pop() > 0 else Side.ASK
-        sim.place_market(self.agent_id, side, self.group.size)
+        sim.place_market(self.agent_id, self._pending.pop(), self.group.size)
 
 
 class PrimeMarketAgent(Agent):
@@ -147,20 +146,18 @@ class PrimeMarketAgent(Agent):
             buy = False
         else:
             buy = self.rng.random() <= 0.5
-        sim.place_market(self.agent_id, Side.BID if buy else Side.ASK, self.group.size)
+        sim.place_market(self.agent_id, BID if buy else ASK, self.group.size)
 
 
 class TechnicalAgent(Agent):
-    """Market agent of a trend or mean_revert TechnicalGroup."""
+    """Market agent of a TechnicalGroup: ``sign`` +1 follows the mid's move (trend),
+    -1 trades against it (mean_revert)."""
 
-    __slots__ = ("kind",)
+    __slots__ = ("sign",)
 
-    def __init__(self, agent_id: int, group: TechnicalGroup, rng: BatchedRng,
-                 kind: str):
-        if kind not in ("trend", "mean_revert"):
-            raise ValueError(f"unknown technical kind {kind!r}")
+    def __init__(self, agent_id: int, group: TechnicalGroup, rng: BatchedRng, sign: int):
         super().__init__(agent_id, group, rng)
-        self.kind = kind
+        self.sign = sign
 
     def wakeup(self, sim) -> None:
         now_mid = sim.mid2x_at(sim.now)
@@ -168,12 +165,6 @@ class TechnicalAgent(Agent):
         if now_mid is None or past_mid is None:
             return  # not enough mid history to span the lookback
         delta2x = now_mid - past_mid
-        threshold2x = 2 * self.group.threshold
-        if delta2x > threshold2x:
-            momentum_side = Side.BID
-        elif delta2x < -threshold2x:
-            momentum_side = Side.ASK
-        else:
-            return
-        side = momentum_side if self.kind == "trend" else momentum_side.opposite
-        sim.place_market(self.agent_id, side, self.group.size)
+        if abs(delta2x) > 2 * self.group.threshold:  # beyond the dead zone
+            side = self.sign if delta2x > 0 else -self.sign
+            sim.place_market(self.agent_id, side, self.group.size)

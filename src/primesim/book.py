@@ -11,28 +11,20 @@ import math
 from bisect import insort
 from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
 
 # Owner of liquidity created by seed_linear(); never used by a real agent.
 SEEDER_AGENT = -1
 
-
-class Side(Enum):
-    """Order direction; the value is its sign, +1 buying and -1 selling interest."""
-
-    BID = 1
-    ASK = -1
-
-    @property
-    def opposite(self) -> "Side":
-        return Side.ASK if self is Side.BID else Side.BID
+# Order sides are their signs: +1 buying and -1 selling interest, so -side is the other.
+BID = 1
+ASK = -1
 
 
 @dataclass(eq=False, slots=True)
 class LimitOrder:
     id: int
     agent: int
-    side: Side
+    side: int
     price: int
     qty: int
     ts: int = 0
@@ -49,7 +41,7 @@ class MarketResult:
 # One side of the book: FIFO levels by price, and their keys sign * price in ascending
 # order, so the best level comes first. Bids have sign -1 and asks +1, which is also
 # the trade sign of a taker that takes the side.
-_BookSide = namedtuple("_BookSide", "levels keys sign")
+_Ladder = namedtuple("_Ladder", "levels keys sign")
 
 
 class OrderBook:
@@ -61,17 +53,15 @@ class OrderBook:
     can still be in the way after matching), the remainder is discarded so the
     book is never left crossed.
 
-    Limit order ids must be strictly increasing: an id at or below the last
-    accepted one is rejected. Uniqueness then needs only that one id, so a
-    retired (filled or cancelled) order leaves no state behind and memory is
-    O(1) per order over a session of any length.
+    The book numbers limit orders itself, 1, 2, 3, ... in the order they are
+    accepted, so a retired (filled or cancelled) order leaves no state behind
+    and memory is O(1) per order over a session of any length.
     """
 
     def __init__(self) -> None:
-        self._bids = _BookSide({}, [], -1)  # keys -price: the highest bid first
-        self._asks = _BookSide({}, [], 1)   # keys +price: the lowest ask first
+        self._bids = _Ladder({}, [], -1)  # keys -price: the highest bid first
+        self._asks = _Ladder({}, [], 1)   # keys +price: the lowest ask first
         self._by_id: dict[int, LimitOrder] = {}
-        self._last_id = 0  # highest accepted order id; the next must exceed it
         self._next_id = 1
         # conservation counters (units)
         self.submitted_qty = 0
@@ -114,48 +104,36 @@ class OrderBook:
                        for key in keys]
                 for name, (levels, keys, sign) in (("bids", self._bids), ("asks", self._asks))}
 
-    def new_order_id(self) -> int:
-        """Allocate a session-unique order id above every id issued or accepted."""
-        oid = self._next_id
-        if oid <= self._last_id:
-            oid = self._last_id + 1
-        self._next_id = oid + 1
-        return oid
-
     # ------------------------------------------------------------- operations
 
-    def submit_limit(self, order: LimitOrder) -> list[tuple[int, ...]]:
+    def submit_limit(self, agent: int, side: int, price: int, qty: int,
+                     ts: int = 0) -> tuple[int, list[tuple[int, ...]]]:
         """Match a limit order against the opposite side; rest any remainder.
 
-        Returns the fills in execution order. Rejects non-positive quantities,
-        off-grid prices, and ids that do not exceed the last accepted id (which
-        covers every duplicate).
+        Returns the order's id, the next of 1, 2, 3, ..., and its fills in
+        execution order. Non-positive quantities and off-grid prices are
+        rejected before an id is taken.
         """
-        if order.qty <= 0:
-            raise ValueError(f"limit order qty must be positive, got {order.qty}")
-        if order.price < 1:
-            raise ValueError(f"price must be a positive tick, got {order.price}")
-        if order.id <= self._last_id:
-            raise ValueError(f"duplicate or out-of-order order id {order.id}: "
-                             f"ids must exceed the last accepted id {self._last_id}")
-        self._last_id = order.id
-        self.submitted_qty += order.qty
+        if qty <= 0:
+            raise ValueError(f"limit order qty must be positive, got {qty}")
+        if price < 1:
+            raise ValueError(f"price must be a positive tick, got {price}")
+        oid = self._next_id
+        self._next_id = oid + 1
+        self.submitted_qty += qty
+        trades, remaining, crosses_own = self._match(agent, side, qty, price, ts)
+        if crosses_own:
+            self.discarded_qty += remaining
+        elif remaining:
+            self._rest(LimitOrder(oid, agent, side, price, remaining, ts))
+        return oid, trades
 
-        trades, remaining = self._match(order.agent, order.side, order.qty, order.price, order.ts)
-        if remaining > 0:
-            if self._would_cross_own(order.side, order.price):
-                self.discarded_qty += remaining
-            else:
-                order.qty = remaining
-                self._rest(order)
-        return trades
-
-    def submit_market(self, agent: int, side: Side, qty: int, ts: int = 0) -> MarketResult:
+    def submit_market(self, agent: int, side: int, qty: int, ts: int = 0) -> MarketResult:
         """Walk the opposite side; any unfilled remainder is discarded."""
         if qty <= 0:
             raise ValueError(f"market order qty must be positive, got {qty}")
         self.submitted_qty += qty
-        trades, remaining = self._match(agent, side, qty, None, ts)
+        trades, remaining, _ = self._match(agent, side, qty, None, ts)
         self.discarded_qty += remaining
         return MarketResult(trades=trades, remainder=remaining)
 
@@ -164,7 +142,7 @@ class OrderBook:
         order = self._by_id.pop(order_id, None)
         if order is None:
             return None
-        levels, keys, sign = self._bids if order.side is Side.BID else self._asks
+        levels, keys, sign = self._bids if order.side > 0 else self._asks
         queue = levels[order.price]
         queue.remove(order)
         if not queue:
@@ -186,16 +164,13 @@ class OrderBook:
         if start_price - half_width < 1:
             raise ValueError("seeded bid prices would leave the tick grid")
         for d in range(1, half_width + 1):
-            for side, price in ((Side.BID, start_price - d), (Side.ASK, start_price + d)):
-                self.submit_limit(LimitOrder(
-                    id=self.new_order_id(), agent=SEEDER_AGENT,
-                    side=side, price=price, qty=slope * d, ts=ts,
-                ))
+            for side in (BID, ASK):
+                self.submit_limit(SEEDER_AGENT, side, start_price - side * d, slope * d, ts)
 
     # --------------------------------------------------------------- internals
 
     def _rest(self, order: LimitOrder) -> None:
-        levels, keys, sign = self._bids if order.side is Side.BID else self._asks
+        levels, keys, sign = self._bids if order.side > 0 else self._asks
         level = levels.get(order.price)
         if level is None:
             levels[order.price] = [order]
@@ -204,19 +179,18 @@ class OrderBook:
             level.append(order)
         self._by_id[order.id] = order
 
-    def _would_cross_own(self, side: Side, price: int) -> bool:
-        _, keys, sign = self._asks if side is Side.BID else self._bids
-        return bool(keys) and keys[0] <= sign * price
-
     def _match(
-        self, taker_agent: int, side: Side, qty: int, limit_price: int | None, ts: int,
-    ) -> tuple[list[tuple[int, ...]], int]:
+        self, taker_agent: int, side: int, qty: int, limit_price: int | None, ts: int,
+    ) -> tuple[list[tuple[int, ...]], int, bool]:
         """Consume the opposite side in price-time priority, skipping own orders.
 
         Each fill is one trade-tape row, ``(ts, price, qty, sign, maker_order,
         taker_agent)``, where ``sign`` is the aggressor's (+1 buy, -1 sell).
+        Returns the fills, the unfilled quantity, and whether a remainder
+        resting at ``limit_price`` would cross the taker's own orders: the walk
+        steps past a crossing level only when just those are left on it.
         """
-        levels, keys, sign = self._asks if side is Side.BID else self._bids
+        levels, keys, sign = self._asks if side > 0 else self._bids
         bound = math.inf if limit_price is None else sign * limit_price  # the worst key to take
         by_id = self._by_id
         trades: list[tuple[int, ...]] = []
@@ -244,4 +218,4 @@ class OrderBook:
             else:
                 del levels[price]
                 del keys[ki]
-        return trades, remaining
+        return trades, remaining, ki > 0

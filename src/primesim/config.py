@@ -40,6 +40,22 @@ MAX_SEED_WIDTH = 10**5
 # (bid + ask, center + offset, true price + noise) stays below 2**62, inside int64.
 MAX_TICK = 2**60
 
+# Ceiling of every duration, in ns (~127 years): the logs hold timestamps up to the
+# session's end, and the oracle its step times, as int64 ns, which end at ~9.2e18.
+MAX_DURATION_NS = 4 * 10**18
+
+# Floor of every wake_rate, per second: one expected wakeup in the longest session. The
+# gap to an agent's next wakeup, exponential with mean 1 / wake_rate s, is then finite.
+MIN_WAKE_RATE = 1e9 / MAX_DURATION_NS
+
+# Cap on a group's count, a loop count: building an agent takes ~0.2 ms and ~2 KB, so
+# 10**5 of them take ~20 s and ~200 MB before the session starts. The presets use 1000.
+MAX_GROUP_COUNT = 10**5
+
+# Cap on count * darp_n of a darp group: each darp agent holds its last darp_n signs
+# as int64, 8 MB at the cap. The darp tests use darp_n up to 600.
+MAX_DARP_SIGNS = 10**6
+
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ns|us|ms|s|m|h)\s*$")
 _UNIT_NS = {"ns": 1, "us": 10**3, "ms": 10**6, "s": 10**9, "m": 60 * 10**9, "h": 3600 * 10**9}
 
@@ -81,12 +97,12 @@ _TYPES = {"int": (int, "an integer"), "float": (float, "a finite number"),
           "str | None": (str, "a string")}
 
 
-def _field(default=MISSING, *, minimum=None, maximum=None, above=None,
-           choices: tuple | None = None, duration: bool = False):
-    """Constraints of a schema field: inclusive bounds, an exclusive floor, choices."""
-    return field(default=default, metadata=dict(minimum=minimum, maximum=maximum,
-                                                above=above, choices=choices,
-                                                duration=duration))
+def _field(default=MISSING, *, minimum=None, maximum=None, choices: tuple | None = None,
+           duration: bool = False):
+    """Constraints of a schema field: inclusive bounds (MAX_DURATION_NS caps a duration), choices."""
+    return field(default=default, metadata=dict(
+        minimum=minimum, maximum=MAX_DURATION_NS if duration else maximum, choices=choices,
+        duration=duration))
 
 
 def _key(f) -> str:
@@ -103,18 +119,15 @@ def _accepts(kind: type, m, value) -> bool:
         return False
     return ((m["minimum"] is None or value >= m["minimum"])
             and (m["maximum"] is None or value <= m["maximum"])
-            and (m["above"] is None or value > m["above"])
             and (m["choices"] is None or value in m["choices"]))
 
 
 def _demand(text: str, m) -> str:
     """What a field's value must be, as error messages and the README say it."""
     if m["duration"]:
-        return "a positive duration"
+        return f"a positive duration up to {format_duration(m['maximum'])}"
     if m["choices"]:
         return f"one of {m['choices']}"
-    if m["above"] is not None:
-        return f"{text} > {m['above']}"
     if m["maximum"] is not None:
         return f"{text} in [{m['minimum']}, {m['maximum']}]"
     return text if m["minimum"] is None else f"{text} >= {m['minimum']}"
@@ -177,8 +190,8 @@ ORACLE_KINDS = {cls.kind: cls for cls in (ConstantOracle, RandomWalkOracle, File
 
 @dataclass(frozen=True)
 class ZiLimitGroup(_Section):
-    count: int = _field(minimum=0)
-    wake_rate: float = _field(above=0)
+    count: int = _field(minimum=0, maximum=MAX_GROUP_COUNT)
+    wake_rate: float = _field(minimum=MIN_WAKE_RATE)
     p_cancel: float = _field(0.5, minimum=0, maximum=1)
     mode: str = _field("santa_fe", choices=("santa_fe", "prime"))
     band_low: int = _field(1, minimum=1)      # santa_fe valuation band, inclusive
@@ -194,8 +207,8 @@ class ZiLimitGroup(_Section):
 
 @dataclass(frozen=True)
 class ZiMarketGroup(_Section):
-    count: int = _field(minimum=0)
-    wake_rate: float = _field(above=0)
+    count: int = _field(minimum=0, maximum=MAX_GROUP_COUNT)
+    wake_rate: float = _field(minimum=MIN_WAKE_RATE)
     mode: str = _field("santa_fe", choices=("santa_fe", "darp", "prime"))
     size: int = _field(1, minimum=1)
     noise: int = _field(5, minimum=0, maximum=MAX_TICK)  # prime: observation noise half-width
@@ -210,12 +223,15 @@ class ZiMarketGroup(_Section):
         if (self.darp_gamma - 1) / 2 * math.log10(self.darp_n) > 300:
             raise ConfigError(f"darp_gamma {self.darp_gamma} is too large for darp_n "
                               f"{self.darp_n}: the lag weights overflow")
+        if self.mode == "darp" and self.count * self.darp_n > MAX_DARP_SIGNS:
+            raise ConfigError(f"count * darp_n = {self.count * self.darp_n} exceeds the cap "
+                              f"of {MAX_DARP_SIGNS:.0e} signs that darp agents hold")
 
 
 @dataclass(frozen=True)
 class TechnicalGroup(_Section):
-    count: int = _field(minimum=0)
-    wake_rate: float = _field(0.5, above=0)
+    count: int = _field(minimum=0, maximum=MAX_GROUP_COUNT)
+    wake_rate: float = _field(0.5, minimum=MIN_WAKE_RATE)
     lookback_ns: int = _field(60 * 10**9, minimum=1, duration=True)
     threshold: int = _field(0, minimum=0)     # dead zone in ticks
     size: int = _field(1, minimum=1)
@@ -328,12 +344,18 @@ def to_dict(section) -> dict:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """The config in a file; a relative from_file series path is read from the file's directory."""
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return loads_config(text)
+    config = loads_config(text)
+    if isinstance(config.oracle, FileOracle):
+        from dataclasses import replace
+
+        config = replace(config, oracle=FileOracle(str(path.parent / config.oracle.path)))
+    return config
 
 
 def loads_config(text: str) -> RunConfig:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .book import LimitOrder, MarketResult, OrderBook, Side
+from .book import LimitOrder, MarketResult, OrderBook
 from .tradeio import L1Writer, QuoteLog, TradeTape
 
 # Stream namespaces under the master seed.
@@ -126,14 +126,12 @@ class Simulation:
 
     # -------------------------------------------------------------- actions
 
-    def place_limit(self, agent_id: int, side: Side, price: int, qty: int) -> int:
-        order = LimitOrder(id=self.book.new_order_id(), agent=agent_id,
-                           side=side, price=price, qty=qty, ts=self.now)
-        trades = self.book.submit_limit(order)
+    def place_limit(self, agent_id: int, side: int, price: int, qty: int) -> int:
+        order_id, trades = self.book.submit_limit(agent_id, side, price, qty, self.now)
         self._record(trades)
-        return order.id
+        return order_id
 
-    def place_market(self, agent_id: int, side: Side, qty: int) -> MarketResult:
+    def place_market(self, agent_id: int, side: int, qty: int) -> MarketResult:
         result = self.book.submit_market(agent_id, side, qty, ts=self.now)
         self._record(result.trades)
         return result

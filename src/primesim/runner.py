@@ -2,7 +2,8 @@
 
 A session streams trades.csv and l1.csv into its run directory as it runs, so
 memory does not grow with its length; summary.txt and the resolved config.yaml
-follow, so any run can be replayed byte-identically from its own artifacts.
+follow, with a copy of a from_file oracle's series, oracle.csv, that the config
+names, so any run can be replayed byte-identically from its own artifacts.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
@@ -18,12 +19,13 @@ from pathlib import Path
 from . import tradeio
 from .agents import DarpMarketAgent, PrimeMarketAgent, TechnicalAgent, ZiLimitAgent, ZiMarketAgent
 from .book import OrderBook
-from .config import GROUPS, RunConfig, TechnicalGroup, dump_config, load_config
+from .config import GROUPS, FileOracle, RunConfig, TechnicalGroup, dump_config, load_config
 from .errors import ConfigError, DataError, NumericalError
 from .kernel import RunStats, Simulation, agent_stream, oracle_stream
 from .oracle import make_series
 from .rng import BatchedRng
-from .tradeio import CONFIG_FILE, L1_FILE, SUMMARY_FILE, TRADES_FILE, L1Writer, TradeWriter
+from .tradeio import (CONFIG_FILE, L1_FILE, ORACLE_FILE, SUMMARY_FILE, TRADES_FILE, L1Writer,
+                      TradeWriter)
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ AGENT_CLASSES = {
     ("zi_market", "santa_fe"): ZiMarketAgent,
     ("zi_market", "darp"): DarpMarketAgent,
     ("zi_market", "prime"): PrimeMarketAgent,
-    ("trend", None): partial(TechnicalAgent, kind="trend"),
-    ("mean_revert", None): partial(TechnicalAgent, kind="mean_revert"),
+    ("trend", None): partial(TechnicalAgent, sign=1),
+    ("mean_revert", None): partial(TechnicalAgent, sign=-1),
 }
 
 
@@ -74,11 +76,11 @@ def build_simulation(config: RunConfig, trades: TradeWriter | None = None,
 def run_simulation(config: RunConfig, out_dir: str | Path) -> RunResult:
     """Execute the configured session and write all artifacts.
 
-    The session streams its logs into a temporary directory. It must end with
-    quantity conserved and the book uncrossed (NumericalError otherwise);
-    then the summary and config are written and the directory is renamed
-    onto out_dir. A failure or interrupt removes it, and then each parent
-    directory made for it that is left empty.
+    The session streams its logs into a temporary directory, which also keeps a
+    copy of a from_file series. It must end with quantity conserved and the
+    book uncrossed (NumericalError otherwise); then the summary and config are
+    written and the directory is renamed onto out_dir. A failure or interrupt
+    removes it, and then each parent directory made for it that is left empty.
     """
     out_dir = Path(out_dir)
     if out_dir.exists():
@@ -90,6 +92,9 @@ def run_simulation(config: RunConfig, out_dir: str | Path) -> RunResult:
         tmp = Path(tempfile.mkdtemp(prefix=out_dir.name + ".tmp-", dir=out_dir.parent))
         with TradeWriter(tmp / TRADES_FILE) as trades, L1Writer(tmp / L1_FILE) as l1:
             sim = build_simulation(config, trades, l1)
+            if isinstance(config.oracle, FileOracle):  # replay reads the run's own copy
+                shutil.copyfile(config.oracle.path, tmp / ORACLE_FILE)
+                config = replace(config, oracle=FileOracle(ORACLE_FILE))
             stats = sim.run_until(config.session_ns)
             l1.write(sim.quotes)  # the rows the quote log still holds
         _check_session_end(sim.book)

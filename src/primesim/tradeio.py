@@ -9,7 +9,8 @@ Both schemas have an in-memory form, the column logs ``TradeTape`` and
 estimators alike. ``TradeWriter`` and ``L1Writer`` write the two row formats;
 a session that ``runner`` runs records into them as it goes. A
 run directory holds the two files under ``TRADES_FILE`` and ``L1_FILE``, next
-to ``SUMMARY_FILE`` and ``CONFIG_FILE``. A file
+to ``SUMMARY_FILE``, ``CONFIG_FILE`` and, for a ``from_file`` oracle, a copy of
+its series under ``ORACLE_FILE``. A file
 is read by one ``np.loadtxt`` call when every row parses, and row by row
 otherwise; the row parser is the one definition of what a row means, and
 both give the same columns. Every input CSV read row by row, the oracle's
@@ -38,6 +39,7 @@ TRADES_FILE = "trades.csv"
 L1_FILE = "l1.csv"
 SUMMARY_FILE = "summary.txt"
 CONFIG_FILE = "config.yaml"
+ORACLE_FILE = "oracle.csv"
 
 _SIGNS = {"B": 1, "S": -1}
 _AGGRESSOR_FLAG = {sign: flag for flag, sign in _SIGNS.items()}

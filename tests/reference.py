@@ -2,9 +2,11 @@
 
 Keeps every resting order in one flat list and rescans it for each fill, so it
 shares no code or data structures with the production book. Implements the
-same economics: price-time priority, skip-own-agent matching, market-order
-remainder discard, and discard of limit remainders that could only cross the
-submitting agent's own resting orders.
+same economics on the same terms: sides are their signs (``BID`` = +1,
+``ASK`` = -1), limit orders are numbered 1, 2, 3, ... as they are accepted,
+and matching follows price-time priority, skips the taker's own orders,
+discards a market order's remainder, and discards a limit remainder that
+could only cross the submitting agent's own resting orders.
 
 Also holds the row type the tests compare fills as, readers that turn the
 simulator's column logs back into rows, ``most_rows_within``, which bounds
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from primesim.book import Side
+from primesim.book import ASK, BID
 from primesim.darp import lag_distribution
 from primesim.errors import NumericalError
 from primesim.impact import DecayKernel, signed_power
@@ -68,7 +70,7 @@ class ReferenceBook:
     def __init__(self) -> None:
         self.resting: list[dict] = []   # {"id","agent","side","price","qty","ts","arrival"}
         self._arrival = 0
-        self.seen_ids: set[int] = set()
+        self._next_id = 1
         self.submitted_qty = 0
         self.traded_qty = 0
         self.cancelled_qty = 0
@@ -76,21 +78,21 @@ class ReferenceBook:
 
     # helpers ---------------------------------------------------------------
 
-    def _best_contra(self, side: Side, taker_agent: int, limit_price: int | None):
+    def _best_contra(self, side: int, taker_agent: int, limit_price: int | None):
         """Most competitive opposite resting order the taker may hit."""
         best = None
         for o in self.resting:
-            if o["side"] is side or o["agent"] == taker_agent:
+            if o["side"] == side or o["agent"] == taker_agent:
                 continue
             if limit_price is not None:
-                if side is Side.BID and o["price"] > limit_price:
+                if side == BID and o["price"] > limit_price:
                     continue
-                if side is Side.ASK and o["price"] < limit_price:
+                if side == ASK and o["price"] < limit_price:
                     continue
             if best is None:
                 best = o
                 continue
-            if side is Side.BID:  # taker buys: lowest ask first
+            if side == BID:  # taker buys: lowest ask first
                 better = (o["price"] < best["price"]
                           or (o["price"] == best["price"] and o["arrival"] < best["arrival"]))
             else:
@@ -100,7 +102,7 @@ class ReferenceBook:
                 best = o
         return best
 
-    def _walk(self, taker_agent: int, side: Side, qty: int,
+    def _walk(self, taker_agent: int, side: int, qty: int,
               limit_price: int | None, ts: int) -> tuple[list[Fill], int]:
         trades = []
         remaining = qty
@@ -112,7 +114,7 @@ class ReferenceBook:
             maker["qty"] -= take
             remaining -= take
             self.traded_qty += take
-            trades.append(Fill(ts=ts, price=maker["price"], qty=take, sign=side.value,
+            trades.append(Fill(ts=ts, price=maker["price"], qty=take, sign=side,
                                maker_order=maker["id"], taker_agent=taker_agent))
             if maker["qty"] == 0:
                 self.resting.remove(maker)
@@ -120,17 +122,18 @@ class ReferenceBook:
 
     # operations ------------------------------------------------------------
 
-    def submit_limit(self, order_id: int, agent: int, side: Side,
-                     price: int, qty: int, ts: int) -> list[Fill]:
-        if qty <= 0 or price < 1 or order_id in self.seen_ids:
+    def submit_limit(self, agent: int, side: int, price: int, qty: int,
+                     ts: int) -> tuple[int, list[Fill]]:
+        if qty <= 0 or price < 1:
             raise ValueError("rejected")
-        self.seen_ids.add(order_id)
+        order_id = self._next_id
+        self._next_id += 1
         self.submitted_qty += qty
         trades, remaining = self._walk(agent, side, qty, price, ts)
         if remaining > 0:
             crosses_own = any(
-                o["side"] is not side
-                and (o["price"] <= price if side is Side.BID else o["price"] >= price)
+                o["side"] != side
+                and (o["price"] <= price if side == BID else o["price"] >= price)
                 for o in self.resting
             )
             if crosses_own:
@@ -140,9 +143,9 @@ class ReferenceBook:
                                      "price": price, "qty": remaining, "ts": ts,
                                      "arrival": self._arrival})
                 self._arrival += 1
-        return trades
+        return order_id, trades
 
-    def submit_market(self, agent: int, side: Side, qty: int, ts: int) -> list[Fill]:
+    def submit_market(self, agent: int, side: int, qty: int, ts: int) -> list[Fill]:
         if qty <= 0:
             raise ValueError("rejected")
         self.submitted_qty += qty
@@ -160,21 +163,21 @@ class ReferenceBook:
 
     # views -----------------------------------------------------------------
 
-    def best(self, side: Side) -> int | None:
-        prices = [o["price"] for o in self.resting if o["side"] is side]
+    def best(self, side: int) -> int | None:
+        prices = [o["price"] for o in self.resting if o["side"] == side]
         if not prices:
             return None
-        return max(prices) if side is Side.BID else min(prices)
+        return max(prices) if side == BID else min(prices)
 
     def l1(self) -> tuple[int | None, int | None]:
-        return self.best(Side.BID), self.best(Side.ASK)
+        return self.best(BID), self.best(ASK)
 
     def dump(self) -> dict:
         """Same shape as OrderBook.dump() for structural comparison."""
         out = {}
-        for name, side in (("bids", Side.BID), ("asks", Side.ASK)):
-            orders = [o for o in self.resting if o["side"] is side]
-            prices = sorted({o["price"] for o in orders}, reverse=(side is Side.BID))
+        for name, side in (("bids", BID), ("asks", ASK)):
+            orders = [o for o in self.resting if o["side"] == side]
+            prices = sorted({o["price"] for o in orders}, reverse=(side == BID))
             out[name] = [
                 (p, [(o["id"], o["agent"], o["qty"], o["ts"])
                      for o in sorted(orders, key=lambda o: o["arrival"]) if o["price"] == p])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from primesim.agents import ZiMarketAgent, DarpMarketAgent
-from primesim.book import LimitOrder, OrderBook, Side
+from primesim.book import ASK, BID, OrderBook
 from primesim.calibrate import tune_darp
 from primesim.config import ConstantOracle, ZiMarketGroup, load_preset, loads_config
 from primesim.darp import DarpParams, generate_signs
@@ -82,17 +82,19 @@ class TestCriterion01MatchingOracle:
             roll = rng.random()
             if roll < 0.6:
                 agent = int(rng.integers(5))
-                side = Side.BID if rng.random() < 0.5 else Side.ASK
+                side = BID if rng.random() < 0.5 else ASK
                 price = int(rng.integers(91, 111))
                 qty = int(rng.integers(1, 11))
-                book_tape += book.submit_limit(
-                    LimitOrder(id=next_id, agent=agent, side=side, price=price, qty=qty, ts=ts))
-                ref_tape += ref.submit_limit(next_id, agent, side, price, qty, ts)
+                oid, trades = book.submit_limit(agent, side, price, qty, ts)
+                ref_oid, ref_trades = ref.submit_limit(agent, side, price, qty, ts)
+                assert oid == ref_oid == next_id
+                book_tape += trades
+                ref_tape += ref_trades
                 issued.append(next_id)
                 next_id += 1
             elif roll < 0.8:
                 agent = int(rng.integers(5))
-                side = Side.BID if rng.random() < 0.5 else Side.ASK
+                side = BID if rng.random() < 0.5 else ASK
                 qty = int(rng.integers(1, 11))
                 book_tape += book.submit_market(agent, side, qty, ts).trades
                 ref_tape += ref.submit_market(agent, side, qty, ts)
@@ -198,7 +200,7 @@ class _SignRecorder:
         self.sides = []
 
     def place_market(self, agent_id, side, qty):
-        self.sides.append(side.value)
+        self.sides.append(side)
 
 
 class TestCriterion06OrderSignStructure:

@@ -10,7 +10,7 @@ from primesim.agents import (
     ZiMarketAgent,
     DarpMarketAgent,
 )
-from primesim.book import LimitOrder, OrderBook, Side
+from primesim.book import ASK, BID, OrderBook
 from primesim.config import TechnicalGroup, ZiLimitGroup, ZiMarketGroup
 from primesim.errors import ConfigError
 from primesim.darp import DarpParams, generate_signs, lag_distribution
@@ -28,10 +28,9 @@ class StubSim:
     def __init__(self, best_bid=None, best_ask=None, series=None, now=0, mid_history=None):
         self.now = now
         self.book = OrderBook()
-        for side, price in ((Side.BID, best_bid), (Side.ASK, best_ask)):
+        for side, price in ((BID, best_bid), (ASK, best_ask)):
             if price is not None:
-                self.book.submit_limit(LimitOrder(id=self.book.new_order_id(), agent=-1,
-                                                  side=side, price=price, qty=1))
+                self.book.submit_limit(-1, side, price, 1)
         self.series = series
         self.mid_history = mid_history or {}
         self.placed_limits = []
@@ -104,14 +103,14 @@ class TestZiLimit:
         agent = ZiLimitAgent(0, ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=0.5),
                              ScriptedRng(randoms=[0.99], integers=[30]))
         agent.wakeup(sim)
-        assert sim.placed_limits == [(Side.BID, 30, 1)]
+        assert sim.placed_limits == [(BID, 30, 1)]
 
     def test_santa_fe_sell_at_or_above_mid(self):
         sim = StubSim(best_bid=50, best_ask=51)
         agent = ZiLimitAgent(0, ZiLimitGroup(count=1, wake_rate=1.0, p_cancel=0.5),
                              ScriptedRng(randoms=[0.99], integers=[77]))
         agent.wakeup(sim)
-        assert sim.placed_limits == [(Side.ASK, 77, 1)]
+        assert sim.placed_limits == [(ASK, 77, 1)]
 
     def test_skips_on_one_sided_book(self):
         sim = StubSim(best_bid=50, best_ask=None)
@@ -130,13 +129,13 @@ class TestZiLimit:
         prices = {}
         for side, price, _ in sim.placed_limits:
             prices.setdefault(side, []).append(price)
-        all_prices = prices[Side.BID] + prices[Side.ASK]
+        all_prices = prices[BID] + prices[ASK]
         assert min(all_prices) >= 950 and max(all_prices) <= 1050
         assert 1000 not in all_prices  # zero offset excluded
-        assert max(prices[Side.BID]) < 1000
-        assert min(prices[Side.ASK]) > 1000
+        assert max(prices[BID]) < 1000
+        assert min(prices[ASK]) > 1000
         # offsets roughly uniform: each half gets about half the draws
-        assert abs(len(prices[Side.BID]) / len(all_prices) - 0.5) < 0.02
+        assert abs(len(prices[BID]) / len(all_prices) - 0.5) < 0.02
 
     def test_branch_rule_santa_fe_sampling(self):
         # buys always strictly below the decision-time mid, sells at or above
@@ -146,7 +145,7 @@ class TestZiLimit:
         for _ in range(10_000):
             agent.wakeup(sim)
         for side, price, _ in sim.placed_limits:
-            if side is Side.BID:
+            if side == BID:
                 assert 2 * price < 101
             else:
                 assert 2 * price >= 101
@@ -159,7 +158,7 @@ class TestZiMarket:
         n = 100_000
         for _ in range(n):
             agent.wakeup(sim)
-        buys = sum(1 for side, _ in sim.placed_markets if side is Side.BID)
+        buys = sum(1 for side, _ in sim.placed_markets if side == BID)
         assert abs(buys / n - 0.5) < 0.005
 
     def test_sign_stream_is_uncorrelated(self):
@@ -168,7 +167,7 @@ class TestZiMarket:
         n = 100_000
         for _ in range(n):
             agent.wakeup(sim)
-        signs = np.asarray([side.value for side, _ in sim.placed_markets])
+        signs = np.asarray([side for side, _ in sim.placed_markets])
         acf = order_sign_acf(signs, max_lag=50)
         inside = np.abs(acf) < 3.0 / np.sqrt(n)
         assert inside.mean() >= 0.95
@@ -231,7 +230,7 @@ class TestDarp:
         agent.history = np.ones(5, dtype=np.int8)
         for _ in range(BLOCK + 20):
             agent.wakeup(sim)
-        assert all(side is Side.BID for side, _ in sim.placed_markets)
+        assert all(side == BID for side, _ in sim.placed_markets)
         assert np.all(agent.history == 1)
 
     @pytest.mark.parametrize("literal", [False, True])
@@ -248,7 +247,7 @@ class TestDarp:
         assert agent.params == params
         for _ in range(3 * BLOCK):
             agent.wakeup(sim)
-        signs = [side.value for side, _ in sim.placed_markets]
+        signs = [side for side, _ in sim.placed_markets]
         first = generate_signs(params, BLOCK, np.random.default_rng(seed))
         assert signs[:BLOCK] == first.tolist()
         assert signs == darp_signs(params, 3, BLOCK, np.random.default_rng(seed))
@@ -261,7 +260,7 @@ class TestPrimeMarket:
                                  np.random.default_rng(0))
         for _ in range(500):
             agent.wakeup(sim)
-        assert all(side is Side.BID for side, _ in sim.placed_markets)
+        assert all(side == BID for side, _ in sim.placed_markets)
 
     def test_coin_flip_at_equality(self):
         sim = StubSim(best_bid=999, best_ask=1001, series=constant_series(1000))
@@ -270,7 +269,7 @@ class TestPrimeMarket:
         n = 10_000
         for _ in range(n):
             agent.wakeup(sim)
-        buys = sum(1 for side, _ in sim.placed_markets if side is Side.BID)
+        buys = sum(1 for side, _ in sim.placed_markets if side == BID)
         assert abs(buys / n - 0.5) < 0.01
 
     def test_buy_fraction_matches_enumeration(self):
@@ -282,7 +281,7 @@ class TestPrimeMarket:
         n = 10_000
         for _ in range(n):
             agent.wakeup(sim)
-        buys = sum(1 for side, _ in sim.placed_markets if side is Side.BID)
+        buys = sum(1 for side, _ in sim.placed_markets if side == BID)
         assert abs(buys / n - 15.0 / 22.0) < 0.015
 
     def test_coin_flip_when_mid_undefined(self):
@@ -292,7 +291,7 @@ class TestPrimeMarket:
         n = 4000
         for _ in range(n):
             agent.wakeup(sim)
-        buys = sum(1 for side, _ in sim.placed_markets if side is Side.BID)
+        buys = sum(1 for side, _ in sim.placed_markets if side == BID)
         assert abs(buys / n - 0.5) < 0.03
 
 
@@ -305,36 +304,44 @@ class TestTechnical:
     def test_trend_buys_rising_mid(self):
         sim, lookback = self.lookback_sim(210, 200)  # +5 ticks over the lookback
         agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=lookback),
-                               np.random.default_rng(0), "trend")
+                               np.random.default_rng(0), 1)
         agent.wakeup(sim)
-        assert sim.placed_markets == [(Side.BID, 1)]
+        assert sim.placed_markets == [(BID, 1)]
 
     def test_mean_revert_sells_rising_mid(self):
         sim, lookback = self.lookback_sim(210, 200)
         agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=lookback),
-                               np.random.default_rng(0), "mean_revert")
+                               np.random.default_rng(0), -1)
         agent.wakeup(sim)
-        assert sim.placed_markets == [(Side.ASK, 1)]
+        assert sim.placed_markets == [(ASK, 1)]
+
+    @pytest.mark.parametrize("sign, side", [(1, ASK), (-1, BID)])
+    def test_falling_mid_trades_sign_times_down(self, sign, side):
+        sim, lookback = self.lookback_sim(190, 200)  # -5 ticks over the lookback
+        agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=lookback),
+                               np.random.default_rng(0), sign)
+        agent.wakeup(sim)
+        assert sim.placed_markets == [(side, 1)]
 
     def test_dead_zone_skips(self):
         sim, lookback = self.lookback_sim(200, 200)
-        for kind in ("trend", "mean_revert"):
+        for sign in (1, -1):
             agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=lookback),
-                                   np.random.default_rng(0), kind)
+                                   np.random.default_rng(0), sign)
             agent.wakeup(sim)
         assert sim.placed_markets == []
 
     def test_threshold_dead_zone(self):
         sim, lookback = self.lookback_sim(206, 200)  # +3 ticks
         agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=lookback, threshold=3),
-                               np.random.default_rng(0), "trend")
+                               np.random.default_rng(0), 1)
         agent.wakeup(sim)
         assert sim.placed_markets == []  # delta == threshold is inside the dead zone
 
     def test_insufficient_history_skips(self):
         sim = StubSim(now=10 * 10**9, mid_history={5 * 10**9: 200})
         agent = TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=60 * 10**9),
-                               np.random.default_rng(0), "trend")
+                               np.random.default_rng(0), 1)
         agent.wakeup(sim)
         assert sim.placed_markets == []
 
@@ -351,11 +358,6 @@ class TestParamValidation:
     def test_bad_copy_probability(self):
         with pytest.raises(ValueError):
             DarpParams(p=-0.1, gamma=1.5)
-
-    def test_bad_technical_kind(self):
-        with pytest.raises(ValueError, match="technical kind"):
-            TechnicalAgent(0, TechnicalGroup(count=1, lookback_ns=10**9),
-                           np.random.default_rng(0), "arbitrage")
 
     def test_bad_wake_rate(self):
         with pytest.raises(ConfigError, match="wake_rate"):

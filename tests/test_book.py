@@ -6,84 +6,81 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from primesim.book import SEEDER_AGENT, LimitOrder, OrderBook, Side
+from primesim.book import ASK, BID, SEEDER_AGENT, LimitOrder, OrderBook
 
 from reference import Fill, ReferenceBook
 
 
-def lo(oid, agent, side, price, qty, ts=0):
-    return LimitOrder(id=oid, agent=agent, side=side, price=price, qty=qty, ts=ts)
+def lo(book, oid, agent, side, price, qty, ts=0):
+    """Submit a limit order, check that the book numbered it ``oid``, and return its fills."""
+    got, trades = book.submit_limit(agent, side, price, qty, ts)
+    assert got == oid
+    return trades
 
 
 def resting(book, oid):
     """The resting order with this id, read off ``book.dump()``, or None."""
-    for side, name in ((Side.BID, "bids"), (Side.ASK, "asks")):
+    for side, name in ((BID, "bids"), (ASK, "asks")):
         for price, level in book.dump()[name]:
             for order_id, agent, qty, ts in level:
                 if order_id == oid:
-                    return lo(oid, agent, side, price, qty, ts)
+                    return LimitOrder(oid, agent, side, price, qty, ts)
     return None
 
 
 def depth(book, side, price):
     """Resting quantity at one price, read off ``book.dump()``."""
-    levels = dict(book.dump()["bids" if side is Side.BID else "asks"])
+    levels = dict(book.dump()["bids" if side > 0 else "asks"])
     return sum(qty for _, _, qty, _ in levels.get(price, ()))
 
 
 class TestSubmitLimit:
     def test_rests_on_empty_book(self):
         book = OrderBook()
-        trades = book.submit_limit(lo(1, 0, Side.BID, 100, 5))
+        trades = lo(book, 1, 0, BID, 100, 5)
         assert trades == []
         assert book.best_bid == 100
         assert book.best_ask is None
 
     def test_crossing_limit_walks_price_time(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.ASK, 101, 3))
-        book.submit_limit(lo(2, 0, Side.ASK, 102, 4))
-        trades = book.submit_limit(lo(3, 1, Side.BID, 102, 5))
+        lo(book, 1, 0, ASK, 101, 3)
+        lo(book, 2, 0, ASK, 102, 4)
+        trades = lo(book, 3, 1, BID, 102, 5)
         # one tuple per fill: (ts, price, qty, sign, maker_order, taker_agent)
         assert trades == [(0, 101, 3, 1, 1, 1), (0, 102, 2, 1, 2, 1)]
         assert book.best_ask == 102
-        assert depth(book, Side.ASK, 102) == 2
+        assert depth(book, ASK, 102) == 2
         assert book.best_bid is None  # fully filled, nothing rested
 
     def test_remainder_rests_at_limit_price(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.ASK, 101, 3))
-        trades = book.submit_limit(lo(2, 1, Side.BID, 101, 5))
+        lo(book, 1, 0, ASK, 101, 3)
+        trades = lo(book, 2, 1, BID, 101, 5)
         assert trades == [(0, 101, 3, 1, 1, 1)]
         assert book.best_bid == 101
-        assert depth(book, Side.BID, 101) == 2
-
-    def test_duplicate_id_rejected(self):
-        book = OrderBook()
-        book.submit_limit(lo(7, 0, Side.BID, 100, 1))
-        with pytest.raises(ValueError, match="duplicate"):
-            book.submit_limit(lo(7, 0, Side.BID, 99, 1))
+        assert depth(book, BID, 101) == 2
 
     def test_nonpositive_qty_rejected(self):
         book = OrderBook()
         with pytest.raises(ValueError):
-            book.submit_limit(lo(1, 0, Side.BID, 100, 0))
+            book.submit_limit(0, BID, 100, 0)
         with pytest.raises(ValueError):
-            book.submit_limit(lo(2, 0, Side.BID, 100, -3))
+            book.submit_limit(0, BID, 100, -3)
 
     def test_fifo_within_level(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.ASK, 101, 2))
-        book.submit_limit(lo(2, 1, Side.ASK, 101, 2))
-        trades = book.submit_limit(lo(3, 2, Side.BID, 101, 3))
+        lo(book, 1, 0, ASK, 101, 2)
+        lo(book, 2, 1, ASK, 101, 2)
+        trades = lo(book, 3, 2, BID, 101, 3)
         assert [Fill(*t).maker_order for t in trades] == [1, 2]
         assert [Fill(*t).qty for t in trades] == [2, 1]
 
     def test_skips_own_resting_orders(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 5, Side.ASK, 101, 2))  # own
-        book.submit_limit(lo(2, 6, Side.ASK, 101, 2))
-        trades = book.submit_limit(lo(3, 5, Side.BID, 101, 2))
+        lo(book, 1, 5, ASK, 101, 2)  # own
+        lo(book, 2, 6, ASK, 101, 2)
+        trades = lo(book, 3, 5, BID, 101, 2)
         assert trades == [(0, 101, 2, 1, 2, 5)]
         assert resting(book, 1).qty == 2  # untouched
 
@@ -91,8 +88,8 @@ class TestSubmitLimit:
         # only the agent's own ask is in the way; the remainder cannot rest
         # through it without crossing the book, so it is discarded
         book = OrderBook()
-        book.submit_limit(lo(1, 5, Side.ASK, 100, 1))
-        trades = book.submit_limit(lo(2, 5, Side.BID, 102, 3))
+        lo(book, 1, 5, ASK, 100, 1)
+        trades = lo(book, 2, 5, BID, 102, 3)
         assert trades == []
         assert book.best_bid is None
         assert book.best_ask == 100
@@ -101,57 +98,33 @@ class TestSubmitLimit:
 
 
 class TestOrderIds:
-    def test_repeated_id_rejected(self):
-        book = OrderBook()
-        book.submit_limit(lo(3, 0, Side.BID, 100, 1))
-        with pytest.raises(ValueError, match="duplicate"):
-            book.submit_limit(lo(3, 1, Side.ASK, 105, 1))
-        assert len(book) == 1 and book.submitted_qty == 1
-
-    def test_out_of_order_id_rejected(self):
-        book = OrderBook()
-        book.submit_limit(lo(5, 0, Side.BID, 100, 1))
-        with pytest.raises(ValueError, match="duplicate"):
-            book.submit_limit(lo(4, 0, Side.BID, 99, 1))
-        assert resting(book, 4) is None and book.best_bid == 100
-
-    def test_id_of_retired_order_stays_rejected(self):
-        book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.BID, 100, 1))
-        book.cancel(1)
-        with pytest.raises(ValueError, match="duplicate"):
-            book.submit_limit(lo(1, 0, Side.BID, 100, 1))
-
     def test_invalid_order_does_not_consume_its_id(self):
         book = OrderBook()
         with pytest.raises(ValueError):
-            book.submit_limit(lo(2, 0, Side.BID, 100, 0))
-        book.submit_limit(lo(2, 0, Side.BID, 100, 1))
-        assert resting(book, 2) is not None
+            book.submit_limit(0, BID, 100, 0)
+        with pytest.raises(ValueError):
+            book.submit_limit(0, BID, 0, 1)
+        lo(book, 1, 0, BID, 100, 1)
+        assert resting(book, 1) is not None
 
     def test_issued_ids_count_up_from_one(self):
+        # market orders, fills and cancels take no id
         book = OrderBook()
-        assert [book.new_order_id() for _ in range(3)] == [1, 2, 3]
-
-    def test_new_order_id_after_external_ids(self):
-        book = OrderBook()
-        book.submit_limit(lo(10, 0, Side.BID, 100, 1))
-        book.submit_limit(lo(12, 0, Side.BID, 99, 1))
-        oid = book.new_order_id()
-        assert oid == 13
-        book.submit_limit(lo(oid, 0, Side.ASK, 105, 1))
-        assert book.new_order_id() == 14
+        lo(book, 1, 0, BID, 100, 1)
+        book.submit_market(1, ASK, 1)
+        lo(book, 2, 1, ASK, 100, 1)
+        book.cancel(2)
+        assert [book.submit_limit(0, ASK, 105, 1)[0] for _ in range(3)] == [3, 4, 5]
 
     def test_seed_linear_follows_id_rule(self):
+        # seeded orders take ids like any other limit order and the count goes on
         book = OrderBook()
-        book.submit_limit(lo(7, 0, Side.BID, 100, 1))
-        book.cancel(7)
+        lo(book, 1, 0, BID, 100, 1)
+        book.cancel(1)
         book.seed_linear(1000, 2, 1)
         ids = [o[0] for _, level in book.dump()["bids"] + book.dump()["asks"] for o in level]
-        assert sorted(ids) == [8, 9, 10, 11]
-        with pytest.raises(ValueError, match="duplicate"):
-            book.submit_limit(lo(11, 0, Side.BID, 990, 1))
-        assert book.new_order_id() == 12
+        assert sorted(ids) == [2, 3, 4, 5]
+        lo(book, 6, 0, BID, 990, 1)
 
 
 class TestBoundedState:
@@ -162,13 +135,12 @@ class TestBoundedState:
         rng = np.random.default_rng(5)
         book = OrderBook()
         for _ in range(10_000):
-            side = Side.BID if rng.random() < 0.5 else Side.ASK
-            oid = book.new_order_id()
-            book.submit_limit(lo(oid, 0, side, int(rng.integers(90, 111)), 2))
+            side = BID if rng.random() < 0.5 else ASK
+            oid, _ = book.submit_limit(0, side, int(rng.integers(90, 111)), 2)
             if retire == "cancel":
                 assert book.cancel(oid) is not None
             else:
-                assert book.submit_market(1, side.opposite, 2).remainder == 0
+                assert book.submit_market(1, -side, 2).remainder == 0
         owned = dict(vars(book))
         for name in ("_bids", "_asks"):  # each side is a named tuple of containers
             owned.update({f"{name}.{part}": value
@@ -178,23 +150,23 @@ class TestBoundedState:
         assert set(containers) >= {"_bids.levels", "_asks.levels", "_bids.keys",
                                    "_asks.keys", "_by_id"}
         assert {name: len(value) for name, value in containers.items() if value} == {}
-        assert book.new_order_id() == 10_001
+        assert book.submit_limit(0, BID, 100, 1)[0] == 10_001
 
 
 class TestSubmitMarket:
     def test_partial_level(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.ASK, 101, 3))
-        result = book.submit_market(1, Side.BID, 2, ts=7)
+        lo(book, 1, 0, ASK, 101, 3)
+        result = book.submit_market(1, BID, 2, ts=7)
         assert result.trades == [(7, 101, 2, 1, 1, 1)]
         assert book.best_ask == 101
-        assert depth(book, Side.ASK, 101) == 1
+        assert depth(book, ASK, 101) == 1
         assert result.remainder == 0
 
     def test_remainder_discarded(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.ASK, 101, 3))
-        result = book.submit_market(1, Side.BID, 5)
+        lo(book, 1, 0, ASK, 101, 3)
+        result = book.submit_market(1, BID, 5)
         assert result.trades == [(0, 101, 3, 1, 1, 1)]
         assert result.remainder == 2
         assert book.discarded_qty == 2
@@ -202,7 +174,7 @@ class TestSubmitMarket:
 
     def test_no_liquidity_flag(self):
         book = OrderBook()
-        result = book.submit_market(1, Side.BID, 4)
+        result = book.submit_market(1, BID, 4)
         assert result.trades == []
         assert result.remainder == 4
         assert book.discarded_qty == 4
@@ -210,13 +182,13 @@ class TestSubmitMarket:
     def test_rejects_nonpositive_qty(self):
         book = OrderBook()
         with pytest.raises(ValueError):
-            book.submit_market(1, Side.BID, 0)
+            book.submit_market(1, BID, 0)
 
 
 class TestCancel:
     def test_cancel_resting(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.BID, 100, 5))
+        lo(book, 1, 0, BID, 100, 5)
         removed = book.cancel(1)
         assert removed is not None and removed.qty == 5
         assert len(book) == 0
@@ -224,26 +196,26 @@ class TestCancel:
 
     def test_cancel_unknown_returns_none(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.BID, 100, 5))
+        lo(book, 1, 0, BID, 100, 5)
         assert book.cancel(999) is None
         assert book.best_bid == 100
 
     def test_cancel_filled_returns_none(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.ASK, 101, 1))
-        book.submit_market(1, Side.BID, 1)
+        lo(book, 1, 0, ASK, 101, 1)
+        book.submit_market(1, BID, 1)
         assert book.cancel(1) is None
 
 
 class TestL1:
     def test_mid_and_spread(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.BID, 99, 1))
-        book.submit_limit(lo(2, 0, Side.ASK, 101, 1))
+        lo(book, 1, 0, BID, 99, 1)
+        lo(book, 2, 0, ASK, 101, 1)
         assert (book.best_bid, book.best_ask) == (99, 101)
         assert book.mid2x == 200
         assert book.best_ask - book.best_bid == 2
-        book.submit_limit(lo(3, 0, Side.BID, 100, 1))
+        lo(book, 3, 0, BID, 100, 1)
         assert book.mid2x == 201  # a half-tick mid stays integral
 
     def test_empty_book_absent(self):
@@ -251,10 +223,10 @@ class TestL1:
         assert book.best_bid is None and book.best_ask is None
         assert book.mid2x is None
         # the mid stays absent while either side is empty
-        book.submit_limit(lo(1, 0, Side.BID, 99, 1))
+        lo(book, 1, 0, BID, 99, 1)
         assert (book.best_bid, book.best_ask, book.mid2x) == (99, None, None)
         book.cancel(1)
-        book.submit_limit(lo(2, 0, Side.ASK, 101, 1))
+        lo(book, 2, 0, ASK, 101, 1)
         assert (book.best_bid, book.best_ask, book.mid2x) == (None, 101, None)
 
 
@@ -279,14 +251,14 @@ class TestSeedLinear:
         half_width, slope = 50, 2
         book.seed_linear(1000, half_width, slope)
         per_side = slope * half_width * (half_width + 1) // 2
-        bid_qty = sum(depth(book, Side.BID, p) for p, _ in book.dump()["bids"])
-        ask_qty = sum(depth(book, Side.ASK, p) for p, _ in book.dump()["asks"])
+        bid_qty = sum(depth(book, BID, p) for p, _ in book.dump()["bids"])
+        ask_qty = sum(depth(book, ASK, p) for p, _ in book.dump()["asks"])
         assert bid_qty == per_side
         assert ask_qty == per_side
 
     def test_requires_empty_book(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.BID, 100, 1))
+        lo(book, 1, 0, BID, 100, 1)
         with pytest.raises(ValueError, match="empty"):
             book.seed_linear(1000, 3, 1)
 
@@ -307,19 +279,19 @@ def random_ops(rng, n_ops, n_agents=5, price_lo=91, price_hi=110):
         roll = rng.random()
         if roll < 0.6:
             ops.append(("limit", next_id, int(rng.integers(n_agents)),
-                        Side.BID if rng.random() < 0.5 else Side.ASK,
+                        BID if rng.random() < 0.5 else ASK,
                         int(rng.integers(price_lo, price_hi + 1)),
                         int(rng.integers(1, 11))))
             issued.append(next_id)
             next_id += 1
         elif roll < 0.8:
             ops.append(("market", int(rng.integers(n_agents)),
-                        Side.BID if rng.random() < 0.5 else Side.ASK,
+                        BID if rng.random() < 0.5 else ASK,
                         int(rng.integers(1, 11))))
         elif issued:
             ops.append(("cancel", issued[int(rng.integers(len(issued)))]))
         else:
-            ops.append(("market", 0, Side.BID, 1))
+            ops.append(("market", 0, BID, 1))
     return ops
 
 
@@ -330,8 +302,10 @@ def apply_ops(ops):
     for ts, op in enumerate(ops):
         if op[0] == "limit":
             _, oid, agent, side, price, qty = op
-            book_tape += book.submit_limit(lo(oid, agent, side, price, qty, ts))
-            ref_tape += ref.submit_limit(oid, agent, side, price, qty, ts)
+            book_tape += lo(book, oid, agent, side, price, qty, ts)
+            ref_oid, ref_trades = ref.submit_limit(agent, side, price, qty, ts)
+            assert ref_oid == oid
+            ref_tape += ref_trades
         elif op[0] == "market":
             _, agent, side, qty = op
             book_tape += book.submit_market(agent, side, qty, ts).trades
@@ -379,8 +353,8 @@ class TestInvariants:
 
     def test_trade_prices_are_maker_prices(self):
         book = OrderBook()
-        book.submit_limit(lo(1, 0, Side.ASK, 105, 2))
-        trades = book.submit_limit(lo(2, 1, Side.BID, 110, 2))
+        lo(book, 1, 0, ASK, 105, 2)
+        trades = lo(book, 2, 1, BID, 110, 2)
         assert [Fill(*t).price for t in trades] == [105]
 
 
@@ -390,10 +364,10 @@ def mirror_ops(ops, ceiling):
     for op in ops:
         if op[0] == "limit":
             kind, oid, agent, side, price, qty = op
-            mirrored.append((kind, oid, agent, side.opposite, ceiling - price, qty))
+            mirrored.append((kind, oid, agent, -side, ceiling - price, qty))
         elif op[0] == "market":
             kind, agent, side, qty = op
-            mirrored.append((kind, agent, side.opposite, qty))
+            mirrored.append((kind, agent, -side, qty))
         else:
             mirrored.append(op)
     return mirrored
@@ -421,7 +395,7 @@ class TestMirrorSymmetry:
 
 
 AGENTS = st.integers(0, 3)
-SIDES = st.sampled_from([Side.BID, Side.ASK])
+SIDES = st.sampled_from([BID, ASK])
 PRICES = st.integers(95, 105)
 QTYS = st.integers(1, 6)
 
@@ -446,9 +420,11 @@ class BookVersusReference(RuleBasedStateMachine):
 
     def _limit(self, agent, side, price, qty):
         self.ts += 1
-        oid = self.book.new_order_id()
-        self.book_tape += self.book.submit_limit(lo(oid, agent, side, price, qty, self.ts))
-        self.ref_tape += self.ref.submit_limit(oid, agent, side, price, qty, self.ts)
+        oid = len(self.issued) + 1  # every limit here is valid, so each takes the next id
+        self.book_tape += lo(self.book, oid, agent, side, price, qty, self.ts)
+        ref_oid, ref_trades = self.ref.submit_limit(agent, side, price, qty, self.ts)
+        assert ref_oid == oid
+        self.ref_tape += ref_trades
         self.issued.append(oid)
 
     @rule(agent=AGENTS, side=SIDES, price=PRICES, qty=QTYS)
@@ -482,8 +458,8 @@ class BookVersusReference(RuleBasedStateMachine):
     def self_cross(self, data, qty, through):
         """A limit from a resting order's owner priced at or through that order."""
         own = data.draw(st.sampled_from(self.ref.resting), label="own order")
-        side = own["side"].opposite
-        price = own["price"] + (through if side is Side.BID else -through)
+        side = -own["side"]
+        price = own["price"] + (through if side > 0 else -through)
         self._limit(own["agent"], side, max(price, 1), qty)
 
     @invariant()

@@ -30,14 +30,28 @@ agents:
 """
 
 # (key, text in PRIME_CONFIG, replacement): values that overflowed int64 or float
-# arithmetic in a session before the schema bounded them
+# arithmetic, or numpy's array sizes, in a session before the schema bounded them
 OUT_OF_RANGE = [
     ("start_price", "start_price: 1000", f"start_price: {2**62}"),
     ("half_width", "prime, half_width: 50", f"prime, half_width: {2**62}"),
     ("price", "constant, price: 1000", f"constant, price: {2**63 + 1}"),
     ("sigma", "constant, price: 1000", "random_walk, start: 1000, sigma: 1.0e+30, step: 1s"),
     ("darp_gamma", "prime, noise: 5", "darp, darp_gamma: 800"),
+    ("count", "count: 5, wake_rate: 2.0", f"count: {10**400}, wake_rate: 2.0"),
+    ("wake_rate", "count: 5, wake_rate: 2.0", "count: 5, wake_rate: 5.0e-324"),
+    ("step", "constant, price: 1000", f"random_walk, start: 1000, sigma: 1.0, step: {2**70}"),
+    ("darp_n", "prime, noise: 5", f"darp, darp_n: {10**20}"),
 ]
+
+# One agent that wakes about once in 32 years, over a session whose later timestamps
+# do not fit int64 ns
+TIMESTAMPS_PAST_INT64 = """
+seed: 1
+session: 100000000000000000000
+book: {start_price: 100, half_width: 5, slope: 1}
+agents:
+  zi_market: {count: 1, wake_rate: 1.0e-9}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +142,14 @@ class TestSimulate:
         out = tmp_path / "x"
         assert cli(["simulate", str(bad), "--out", str(out)]) == EXIT_DATA
         assert f"{series}:3: malformed series row" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_session_past_int64_timestamps_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(TIMESTAMPS_PAST_INT64)
+        out = tmp_path / "x"
+        assert cli(["simulate", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert "session must be a positive duration up to 4000000000s" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key,old,new", OUT_OF_RANGE, ids=[key for key, _, _ in OUT_OF_RANGE])
@@ -401,6 +423,33 @@ class TestReplay:
 
     def test_replay_missing_dir(self, tmp_path):
         assert cli(["replay", str(tmp_path / "nope")]) == EXIT_DATA
+
+    @staticmethod
+    def series_run(tmp_path, series_path: str):
+        """A prime session on a two-step series file, run from ``tmp_path``; its directory."""
+        (tmp_path / "series.csv").write_text("time_ns,price_ticks\n0,1000\n2000000000,1010\n")
+        config = tmp_path / "config.yaml"
+        config.write_text(PRIME_CONFIG.replace(
+            "{kind: constant, price: 1000}", f"{{kind: from_file, path: '{series_path}'}}"))
+        out = tmp_path / "run"
+        assert cli(["simulate", str(config), "--out", str(out)]) == EXIT_OK
+        return out
+
+    def test_replay_from_another_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = self.series_run(tmp_path, "series.csv")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli(["replay", str(out)]) == EXIT_OK, capsys.readouterr().err
+
+    def test_replay_after_the_series_file_is_edited(self, tmp_path, capsys):
+        out = self.series_run(tmp_path, str(tmp_path / "series.csv"))
+        series = (tmp_path / "series.csv").read_bytes()
+        (tmp_path / "series.csv").write_text("time_ns,price_ticks\n0,1000\n2000000000,990\n")
+        assert cli(["replay", str(out)]) == EXIT_OK, capsys.readouterr().err
+        assert (out / "oracle.csv").read_bytes() == series
+        assert "path: oracle.csv" in (out / "config.yaml").read_text()
 
 
 class TestUsage:

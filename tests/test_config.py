@@ -9,9 +9,13 @@ import yaml
 from primesim.config import (
     _TYPES,
     GROUPS,
+    MAX_DARP_SIGNS,
+    MAX_DURATION_NS,
     MAX_EXPECTED_WAKEUPS,
+    MAX_GROUP_COUNT,
     MAX_SEED_WIDTH,
     MAX_WALK_STEPS,
+    MIN_WAKE_RATE,
     ConstantOracle,
     TechnicalGroup,
     ZiLimitGroup,
@@ -20,6 +24,7 @@ from primesim.config import (
     _key,
     dump_config,
     format_duration,
+    load_config,
     load_preset,
     loads_config,
     parse_config,
@@ -294,6 +299,35 @@ class TestSizeCaps:
         with pytest.raises(ConfigError, match="random walk steps exceed the cap"):
             replace(at_cap, session_ns=at_cap.session_ns + 10**6)
 
+    def test_group_count_cap_is_inclusive(self):
+        at_cap = replace(loads_config(MINIMAL).zi_market, count=MAX_GROUP_COUNT)
+        with pytest.raises(ConfigError, match=r"count must be an integer in \[0, 100000\]"):
+            replace(at_cap, count=MAX_GROUP_COUNT + 1)
+
+    def test_darp_signs_cap_is_inclusive(self):
+        darp = replace(loads_config(MINIMAL).zi_market, mode="darp", darp_gamma=1.0)
+        assert replace(darp, count=10, darp_n=MAX_DARP_SIGNS // 10).darp_n == 10**5
+        with pytest.raises(ConfigError, match="count \\* darp_n = 1000010 exceeds the cap"):
+            replace(darp, count=10, darp_n=MAX_DARP_SIGNS // 10 + 1)
+        assert replace(darp, mode="santa_fe", count=10, darp_n=MAX_DARP_SIGNS).count == 10
+
+
+class TestTimeBounds:
+    """Durations and rates whose nanosecond arithmetic must stay finite and inside int64."""
+
+    def test_duration_cap_is_inclusive(self):
+        at_cap = replace(loads_config(WALK), session_ns=MAX_DURATION_NS, zi_limit=replace(
+            loads_config(WALK).zi_limit, wake_rate=MIN_WAKE_RATE), oracle=None)
+        assert at_cap.session_ns == MAX_DURATION_NS < 2**63
+        with pytest.raises(ConfigError, match="session must be a positive duration up to"):
+            replace(at_cap, session_ns=MAX_DURATION_NS + 1)
+
+    def test_wake_rate_floor_is_inclusive(self):
+        group = loads_config(WALK).zi_limit
+        assert replace(group, wake_rate=MIN_WAKE_RATE).wake_rate == 2.5e-10
+        with pytest.raises(ConfigError, match=r"wake_rate must be a finite number >= 2.5e-10"):
+            replace(group, wake_rate=MIN_WAKE_RATE / 2)
+
 
 class TestRoundTrip:
     def test_semantic_identity(self):
@@ -313,6 +347,21 @@ class TestRoundTrip:
     def test_every_section_round_trips(self):
         config = loads_config(EVERY_FLOAT)
         assert loads_config(dump_config(config)) == config
+
+
+class TestLoadConfig:
+    def test_relative_series_path_is_read_next_to_the_config(self, tmp_path, monkeypatch):
+        (tmp_path / "conf").mkdir()
+        (tmp_path / "conf" / "config.yaml").write_text(
+            MINIMAL + "oracle: {kind: from_file, path: series.csv}\n")
+        monkeypatch.chdir(tmp_path)
+        assert load_config("conf/config.yaml").oracle.path == str(Path("conf", "series.csv"))
+
+    def test_absolute_series_path_is_kept(self, tmp_path):
+        series = tmp_path / "elsewhere" / "series.csv"
+        (tmp_path / "config.yaml").write_text(
+            MINIMAL + f"oracle: {{kind: from_file, path: '{series}'}}\n")
+        assert load_config(tmp_path / "config.yaml").oracle.path == str(series)
 
 
 class TestPresets:

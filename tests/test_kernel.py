@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primesim import kernel
-from primesim.book import OrderBook, Side
+from primesim.book import ASK, BID, OrderBook
 from primesim.kernel import Simulation, agent_stream, next_poisson_wakeup
 
 from reference import most_rows_within, quote_rows, tape_rows
@@ -53,7 +53,7 @@ class CoinMarketAgent:
         return next_poisson_wakeup(2000.0, self.rng)
 
     def wakeup(self, sim):
-        side = Side.BID if self.rng.random() <= 0.5 else Side.ASK
+        side = BID if self.rng.random() <= 0.5 else ASK
         sim.place_market(self.agent_id, side, 1)
 
 
@@ -161,9 +161,9 @@ class TestStreams:
         book.seed_linear(100, 5, 1)
         sim = Simulation(book)
         assert quote_rows(sim.quotes) == [(0, 99, 101)]
-        sim.place_limit(0, Side.BID, 99, 1)  # joins an existing level: no change
+        sim.place_limit(0, BID, 99, 1)  # joins an existing level: no change
         assert len(sim.quotes) == 1
-        sim.place_limit(0, Side.BID, 100, 1)
+        sim.place_limit(0, BID, 100, 1)
         assert quote_rows(sim.quotes) == [(0, 99, 101), (0, 100, 101)]
 
     def test_mid_lookup_carries_forward(self):
@@ -171,7 +171,7 @@ class TestStreams:
         book.seed_linear(100, 5, 1)
         sim = Simulation(book)
         sim.now = 50
-        sim.place_limit(0, Side.BID, 100, 1)
+        sim.place_limit(0, BID, 100, 1)
         assert sim.mid2x_at(0) == 200
         assert sim.mid2x_at(49) == 200
         assert sim.mid2x_at(50) == 201
@@ -214,7 +214,7 @@ class TestQuoteLog:
         for step in range(3000):
             sim.now = 100 + 7 * (step // 4)
             roll = rng.random()
-            side = Side.BID if rng.random() < 0.5 else Side.ASK
+            side = BID if rng.random() < 0.5 else ASK
             if roll < 0.5:
                 price = int(rng.integers(95, 106))
                 live.append(sim.place_limit(int(rng.integers(3)), side, price, 1))
@@ -263,11 +263,11 @@ class TestQuoteLog:
     def test_one_sided_rows_carry_the_last_mid(self):
         book = OrderBook()
         sim = Simulation(book)
-        sim.place_limit(0, Side.BID, 99, 1)
+        sim.place_limit(0, BID, 99, 1)
         assert sim.mid2x_at(0) is None  # one-sided from the start
-        sim.place_limit(0, Side.ASK, 101, 1)
+        sim.place_limit(0, ASK, 101, 1)
         sim.now = 10
-        sim.place_market(1, Side.BID, 1)
+        sim.place_market(1, BID, 1)
         assert quote_rows(sim.quotes)[-1] == (10, 99, None)
         assert sim.mid2x_at(10) == 200
         assert list(sim.quotes.mid2x) == [0, 0, 200, 200]
@@ -291,7 +291,7 @@ class TestTradeTape:
         fills = []
         for step in range(40):
             sim.now = step
-            fills += sim.place_market(step % 3, Side.BID if step % 2 else Side.ASK, 3).trades
+            fills += sim.place_market(step % 3, BID if step % 2 else ASK, 3).trades
         assert len(sim.trades) == len(fills) > 0
         assert all(type(fill) is tuple for fill in fills)
         assert tape_rows(sim.trades) == fills
